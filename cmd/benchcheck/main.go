@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -36,9 +37,10 @@ type baselineFile struct {
 // parseBenchLines extracts name -> ns/op from `go test -bench` output.
 // Names are normalized by stripping the -N GOMAXPROCS suffix so runs on
 // any host match the baseline keys. A benchmark that appears multiple
-// times (e.g. -count) keeps its last measurement.
+// times (e.g. -count) reports the median of its samples, so one noisy
+// run cannot decide the verdict.
 func parseBenchLines(r io.Reader) (map[string]float64, error) {
-	out := make(map[string]float64)
+	samples := make(map[string][]float64)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -60,10 +62,28 @@ func parseBenchLines(r io.Reader) (map[string]float64, error) {
 			if err != nil {
 				return nil, fmt.Errorf("benchcheck: %s: bad ns/op %q", name, fields[i])
 			}
-			out[name] = v
+			samples[name] = append(samples[name], v)
 		}
 	}
-	return out, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64, len(samples))
+	for name, vs := range samples {
+		out[name] = median(vs)
+	}
+	return out, nil
+}
+
+// median returns the middle value of vs (the mean of the two middle
+// values for an even count), reordering vs.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // check compares measurements against the baseline, writes one greppable

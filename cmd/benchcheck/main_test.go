@@ -79,3 +79,38 @@ func TestCheckThreshold(t *testing.T) {
 		t.Errorf("threshold +150%% still reports regressions: %v", regressed)
 	}
 }
+
+// TestRepeatedSamplesUseMedian: under -count a benchmark appears once
+// per run; its verdict must rest on the median, so an outlier last
+// sample neither fails a steady benchmark nor hides a real regression.
+func TestRepeatedSamplesUseMedian(t *testing.T) {
+	const repeated = `BenchmarkFig4CacheTracking-2 	       1	 100000000 ns/op
+BenchmarkFig4CacheTracking-2 	       1	 104000000 ns/op
+BenchmarkFig4CacheTracking-2 	       1	 900000000 ns/op
+BenchmarkTable3DesignChanges 	       1	2000000000 ns/op
+BenchmarkTable3DesignChanges 	       1	2100000000 ns/op
+BenchmarkTable3DesignChanges 	       1	 900000000 ns/op
+`
+	got, err := parseBenchLines(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got["BenchmarkFig4CacheTracking"] != 104e6 {
+		t.Errorf("Fig4 ns/op = %v, want the median 1.04e8", got["BenchmarkFig4CacheTracking"])
+	}
+	if got["BenchmarkTable3DesignChanges"] != 2e9 {
+		t.Errorf("Table3 ns/op = %v, want the median 2e9", got["BenchmarkTable3DesignChanges"])
+	}
+	regressed := check(&bytes.Buffer{}, sampleBaseline(), got, 0.10)
+	if len(regressed) != 1 || regressed[0] != "BenchmarkTable3DesignChanges" {
+		t.Errorf("regressed = %v, want exactly BenchmarkTable3DesignChanges", regressed)
+	}
+
+	even, err := parseBenchLines(strings.NewReader("BenchmarkX 1 10 ns/op\nBenchmarkX 1 30 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if even["BenchmarkX"] != 20 {
+		t.Errorf("even-count median = %v, want 20", even["BenchmarkX"])
+	}
+}

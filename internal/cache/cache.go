@@ -3,12 +3,7 @@
 // as the memory hierarchy of the timing simulator (internal/uarch).
 package cache
 
-import (
-	"context"
-	"fmt"
-
-	"perfclone/internal/supervise"
-)
+import "fmt"
 
 // Policy selects the replacement policy.
 type Policy string
@@ -304,17 +299,9 @@ func (c *Cache) lookup(si uint64, tag uint64) int {
 // Access simulates one access. It returns true on hit. A miss allocates
 // the line (write-allocate); dirty evictions count as writebacks.
 func (c *Cache) Access(addr uint64, write bool) bool {
-	tag := addr >> c.lineShift
-	return c.accessTagSet(tag, tag&c.setMask, write)
-}
-
-// accessTagSet is Access with the index/tag math already done — the
-// stateful replacement walk. The batched stream replay (AccessStream)
-// precomputes tag and set for a whole lane block and feeds them here, so
-// the pure shift/mask arithmetic stays in a vectorizable loop separate
-// from this branchy part; the statistics are identical either way.
-func (c *Cache) accessTagSet(tag, si uint64, write bool) bool {
 	c.clock++
+	tag := addr >> c.lineShift
+	si := tag & c.setMask
 	c.stats.Accesses++
 	set := c.sets[si]
 	if wi := c.lookup(si, tag); wi >= 0 {
@@ -429,129 +416,3 @@ func Sweep28() []Config {
 	}
 	return out
 }
-
-// ReplaySet simulates one address stream against many configurations at
-// once — the workhorse of the Figure 4/5 experiments, which need 28 cache
-// simulations per program.
-type ReplaySet struct {
-	caches []*Cache
-}
-
-// NewReplaySet builds caches for every configuration.
-func NewReplaySet(cfgs []Config) (*ReplaySet, error) {
-	rs := &ReplaySet{}
-	for _, cfg := range cfgs {
-		c, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		rs.caches = append(rs.caches, c)
-	}
-	return rs, nil
-}
-
-// Access feeds one reference to every cache.
-func (rs *ReplaySet) Access(addr uint64, write bool) {
-	for _, c := range rs.caches {
-		c.Access(addr, write)
-	}
-}
-
-// AccessStream feeds a packed reference stream — a parallel address
-// slice and store bitset (bit i set when addrs[i] is a store), as
-// produced by dyntrace.Trace.Mem — to every cache. It iterates
-// cache-major so each cache's sets stay hot while it consumes the whole
-// stream; the caches are independent, so the statistics are identical to
-// interleaved delivery via Access. A bitset too short for the address
-// slice is an error, not a panic — trace files arrive from disk and may
-// be damaged.
-func (rs *ReplaySet) AccessStream(addrs []uint64, storeBits []uint64) error {
-	return rs.AccessStreamContext(context.Background(), addrs, storeBits)
-}
-
-// accessStreamCheckEvery is how many references AccessStreamContext
-// replays between cancellation checks: coarse enough to cost nothing on
-// the hot path, fine enough that Ctrl-C interrupts a 28-configuration
-// sweep within milliseconds.
-const accessStreamCheckEvery = 1 << 16
-
-// tagBatch is the lane count of the batched index/tag pass in
-// AccessStreamContext: a multiple of 64 (so store-bit words never
-// straddle a block) that divides accessStreamCheckEvery (so the
-// cancellation cadence is unchanged), small enough that the three
-// scratch arrays stay L1-resident.
-const tagBatch = 512
-
-// AccessStreamContext is AccessStream with cooperative cancellation: a
-// full sweep replays len(addrs)×len(caches) references, so long grids
-// poll ctx every accessStreamCheckEvery references and abandon the sweep
-// (returning the context's cancellation cause) once it is cancelled.
-// The same cadence ticks any supervision heartbeat carried by ctx.
-//
-// Each cache's replay runs in tagBatch-lane blocks: the pure per-address
-// math — tag extraction, set indexing, store-bit expansion — fills
-// scratch lanes in tight branch-free loops (SIMD-style, amenable to
-// unrolling and vectorization), and the branchy stateful replacement
-// walk then consumes the precomputed lanes. Access order and arithmetic
-// are unchanged, so the statistics are bit-identical to the unbatched
-// loop.
-func (rs *ReplaySet) AccessStreamContext(ctx context.Context, addrs []uint64, storeBits []uint64) error {
-	if need := (len(addrs) + 63) / 64; len(storeBits) < need {
-		return fmt.Errorf("cache: store bitset has %d words for %d references, need %d", len(storeBits), len(addrs), need)
-	}
-	done := ctx.Done()
-	tick := supervise.TickerFrom(ctx)
-	var tags, sets [tagBatch]uint64
-	var writes [tagBatch]bool
-	for _, c := range rs.caches {
-		shift, mask := c.lineShift, c.setMask
-		for base := 0; base < len(addrs); base += tagBatch {
-			if base%accessStreamCheckEvery == 0 {
-				if done != nil && ctx.Err() != nil {
-					return supervise.Cause(ctx)
-				}
-				if tick != nil {
-					tick()
-				}
-			}
-			blk := addrs[base:]
-			if len(blk) > tagBatch {
-				blk = blk[:tagBatch]
-			}
-			for i, a := range blk {
-				t := a >> shift
-				tags[i] = t
-				sets[i] = t & mask
-			}
-			// base is a multiple of 64, so each group of 64 lanes shares
-			// one store-bit word.
-			wbase := base >> 6
-			for i := 0; i < len(blk); i += 64 {
-				w := storeBits[wbase+i>>6]
-				end := i + 64
-				if end > len(blk) {
-					end = len(blk)
-				}
-				for j := i; j < end; j++ {
-					writes[j] = w>>(uint(j)&63)&1 == 1
-				}
-			}
-			for i := range blk {
-				c.accessTagSet(tags[i], sets[i], writes[i])
-			}
-		}
-	}
-	return nil
-}
-
-// Stats returns per-configuration statistics, in input order.
-func (rs *ReplaySet) Stats() []Stats {
-	out := make([]Stats, len(rs.caches))
-	for i, c := range rs.caches {
-		out[i] = c.Stats()
-	}
-	return out
-}
-
-// Caches exposes the underlying caches (read-only use).
-func (rs *ReplaySet) Caches() []*Cache { return rs.caches }

@@ -154,34 +154,6 @@ func TestSweep28(t *testing.T) {
 	}
 }
 
-func TestReplaySetMatchesIndividual(t *testing.T) {
-	cfgs := Sweep28()
-	rs, err := NewReplaySet(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indiv := make([]*Cache, len(cfgs))
-	for i, c := range cfgs {
-		indiv[i] = MustNew(c)
-	}
-	seed := uint64(12345)
-	for i := 0; i < 20000; i++ {
-		seed ^= seed >> 12
-		seed ^= seed << 25
-		seed ^= seed >> 27
-		addr := (seed * 0x2545f4914f6cdd1d) % (64 << 10)
-		rs.Access(addr, i%4 == 0)
-		for _, c := range indiv {
-			c.Access(addr, i%4 == 0)
-		}
-	}
-	for i, st := range rs.Stats() {
-		if st != indiv[i].Stats() {
-			t.Errorf("config %d: replay %+v individual %+v", i, st, indiv[i].Stats())
-		}
-	}
-}
-
 // TestMissRateMonotonicity: for a fixed random trace, a larger
 // fully-associative cache never misses more (inclusion property of LRU).
 func TestMissRateMonotonicity(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 
 	"perfclone/internal/codegen"
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/experiments"
 	"perfclone/internal/faultinject"
 	"perfclone/internal/fidelity"
@@ -159,6 +160,17 @@ func (s *Server) runExperiment(ctx context.Context, j jobqueue.Job) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
+	// Traces loaded from the store map their files; unmap them once the
+	// artifact is rendered, not when the daemon exits.
+	defer func() {
+		for _, pr := range pairs {
+			for _, t := range []*dyntrace.Trace{pr.RealTrace, pr.CloneTrace} {
+				if t != nil {
+					_ = t.Close() // a failed unmap of read-only pages leaves nothing to undo
+				}
+			}
+		}
+	}()
 	var out bytes.Buffer
 	switch j.Spec.Run {
 	case "fig3":

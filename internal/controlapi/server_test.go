@@ -10,9 +10,11 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"perfclone/internal/faultinject"
 	"perfclone/internal/jobqueue"
 	"perfclone/internal/profile"
 	"perfclone/internal/store"
@@ -397,5 +399,65 @@ func TestDrainRestartResumesByteIdentical(t *testing.T) {
 	}
 	if len(matches) != 1 {
 		t.Fatalf("artifact files for %s: %v, want exactly one", job.ID, matches)
+	}
+}
+
+// mapCountFS is the OS filesystem with its mmaps counted, so a test can
+// check that everything a job maps from the store is released.
+type mapCountFS struct {
+	faultinject.FS
+	mapper         faultinject.Mapper
+	maps, releases atomic.Int64
+}
+
+func (m *mapCountFS) Map(name string) ([]byte, func() error, error) {
+	data, release, err := m.mapper.Map(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	m.maps.Add(1)
+	return data, func() error {
+		m.releases.Add(1)
+		return release()
+	}, nil
+}
+
+// TestExperimentJobReleasesTraces: an experiment job maps its traces
+// from the store and must unmap every one of them once its artifact is
+// rendered, or a long-lived daemon accumulates a mapping per trace per
+// job.
+func TestExperimentJobReleasesTraces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment pipeline run skipped in -short")
+	}
+	mapper, ok := faultinject.OS.(faultinject.Mapper)
+	if !ok {
+		t.Skip("no mmap support on this platform")
+	}
+	fsys := &mapCountFS{FS: faultinject.OS, mapper: mapper}
+	dataDir := t.TempDir()
+	st, err := store.Open(filepath.Join(dataDir, "store"), store.WithLog(io.Discard), store.WithFS(fsys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, ts := testServer(t, dataDir, jobqueue.Options{}, Config{Workers: 1, Store: st})
+	spec := jobqueue.Spec{Kind: jobqueue.KindExperiment, Run: "fig3", Workloads: []string{"crc32"}, Insts: 100_000}
+	// The first job captures the traces and stores them; the second maps
+	// them back from the store.
+	for i := 0; i < 2; i++ {
+		code, job, _ := submit(t, ts, "alice", spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d", i, code)
+		}
+		if j := waitTerminal(t, ts, job.ID); j.State != jobqueue.StateDone {
+			t.Fatalf("job %d failed: %+v", i, j)
+		}
+	}
+	maps, releases := fsys.maps.Load(), fsys.releases.Load()
+	if maps == 0 {
+		t.Fatal("the second job mapped no traces from the store")
+	}
+	if releases != maps {
+		t.Errorf("jobs released %d of %d trace mappings", releases, maps)
 	}
 }

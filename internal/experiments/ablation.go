@@ -197,7 +197,7 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 			}
 			n := float64(len(ablationPredictors))
 
-			blTrainMiss, err := missRateFor(bl.Program, blTrace, train.Cache, opts.TimingInsts)
+			blTrainMiss, err := missRateFor(tctx, bl.Program, blTrace, train.Cache, opts.TimingInsts)
 			if err != nil {
 				return err
 			}
@@ -216,41 +216,24 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 	return rows, err
 }
 
-// cloneMissRateOn replays a program's data stream on one cache config by
-// executing it.
-func cloneMissRateOn(p *prog.Program, cfg cache.Config, maxInsts uint64) (float64, error) {
-	c, err := cache.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	obs := func(ev *funcsim.Event) error {
-		if ev.Inst.Op.IsMem() {
-			c.Access(ev.Addr, ev.Inst.Op.IsStore())
+// missRateFor computes a program's miss rate on one cache config from
+// the captured trace's packed reference stream when it covers the
+// budget, else from the stream of an execution.
+func missRateFor(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfg cache.Config, maxInsts uint64) (float64, error) {
+	var addrs []uint64
+	if traceCovers(t, maxInsts) {
+		addrs, _ = t.Mem(maxInsts)
+	} else {
+		var err error
+		if addrs, _, err = referenceStream(ctx, p, maxInsts); err != nil {
+			return 0, err
 		}
-		return nil
 	}
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: maxInsts}, obs); err != nil {
-		return 0, err
-	}
-	return c.Stats().MissRate(), nil
-}
-
-// missRateFor computes the single-config miss rate from the captured
-// trace's packed reference stream when it covers the budget, else by
-// execution.
-func missRateFor(p *prog.Program, t *dyntrace.Trace, cfg cache.Config, maxInsts uint64) (float64, error) {
-	if !traceCovers(t, maxInsts) {
-		return cloneMissRateOn(p, cfg, maxInsts)
-	}
-	c, err := cache.New(cfg)
+	misses, err := cache.SweepMisses(ctx, addrs, []cache.Config{cfg})
 	if err != nil {
 		return 0, err
 	}
-	addrs, stores := t.Mem(maxInsts)
-	for i, a := range addrs {
-		c.Access(a, stores[i>>6]>>(uint(i)&63)&1 == 1)
-	}
-	return c.Stats().MissRate(), nil
+	return cache.Stats{Accesses: uint64(len(addrs)), Misses: misses[0]}.MissRate(), nil
 }
 
 func absF(v float64) float64 {

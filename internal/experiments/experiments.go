@@ -663,20 +663,32 @@ type Fig4Row struct {
 }
 
 // CacheMPI measures misses-per-instruction for every configuration in
-// cfgs by executing the program and feeding its data reference stream to
-// all caches at once. Prefer CacheMPIFromTrace when a captured trace is
-// available — it produces identical numbers without the interpreter.
+// cfgs by executing the program and sweeping its data reference stream
+// through all of them at once. Prefer CacheMPIFromTrace when a captured
+// trace is available — it produces identical numbers without the
+// interpreter.
 func CacheMPI(p *prog.Program, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
 	return CacheMPIContext(context.Background(), p, cfgs, maxInsts)
 }
 
 // CacheMPIContext is CacheMPI with cooperative cancellation, polled every
-// 64 Ki retired instructions.
+// 64 Ki retired instructions and throughout the sweep.
 func CacheMPIContext(ctx context.Context, p *prog.Program, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
-	rs, err := cache.NewReplaySet(cfgs)
+	addrs, insts, err := referenceStream(ctx, p, maxInsts)
 	if err != nil {
 		return nil, err
 	}
+	if insts == 0 {
+		return nil, fmt.Errorf("experiments: %s retired no instructions; misses-per-instruction is undefined", p.Name)
+	}
+	return sweepMPI(ctx, addrs, cfgs, insts)
+}
+
+// referenceStream executes p for up to maxInsts instructions and returns
+// its data-reference addresses in program order and the instructions
+// retired, polling ctx every 64 Ki instructions.
+func referenceStream(ctx context.Context, p *prog.Program, maxInsts uint64) ([]uint64, uint64, error) {
+	var addrs []uint64
 	var insts uint64
 	tick := supervise.TickerFrom(ctx)
 	obs := func(ev *funcsim.Event) error {
@@ -690,38 +702,41 @@ func CacheMPIContext(ctx context.Context, p *prog.Program, cfgs []cache.Config, 
 			}
 		}
 		if ev.Inst.Op.IsMem() {
-			rs.Access(ev.Addr, ev.Inst.Op.IsStore())
+			addrs = append(addrs, ev.Addr)
 		}
 		return nil
 	}
 	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: maxInsts}, obs); err != nil {
+		return nil, 0, err
+	}
+	return addrs, insts, nil
+}
+
+// sweepMPI sweeps a reference stream through cfgs and divides each
+// configuration's misses by insts.
+func sweepMPI(ctx context.Context, addrs []uint64, cfgs []cache.Config, insts uint64) ([]float64, error) {
+	misses, err := cache.SweepMisses(ctx, addrs, cfgs)
+	if err != nil {
 		return nil, err
 	}
-	if insts == 0 {
-		return nil, fmt.Errorf("experiments: %s retired no instructions; misses-per-instruction is undefined", p.Name)
-	}
 	mpi := make([]float64, len(cfgs))
-	for i, st := range rs.Stats() {
-		mpi[i] = float64(st.Misses) / float64(insts)
+	for i, m := range misses {
+		mpi[i] = float64(m) / float64(insts)
 	}
 	return mpi, nil
 }
 
-// CacheMPIFromTrace is CacheMPI over a captured trace: it replays the
+// CacheMPIFromTrace is CacheMPI over a captured trace: it sweeps the
 // packed data-reference stream of the first maxInsts instructions
-// (0 = whole trace) through every configuration, cache-major, with no
-// functional execution.
+// (0 = whole trace) through every configuration, with no functional
+// execution.
 func CacheMPIFromTrace(t *dyntrace.Trace, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
 	return CacheMPIFromTraceContext(context.Background(), t, cfgs, maxInsts)
 }
 
 // CacheMPIFromTraceContext is CacheMPIFromTrace with cooperative
-// cancellation inside the cache-major replay loop.
+// cancellation inside the sweep.
 func CacheMPIFromTraceContext(ctx context.Context, t *dyntrace.Trace, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
-	rs, err := cache.NewReplaySet(cfgs)
-	if err != nil {
-		return nil, err
-	}
 	insts := t.Insts()
 	if maxInsts > 0 && insts > maxInsts {
 		insts = maxInsts
@@ -729,15 +744,8 @@ func CacheMPIFromTraceContext(ctx context.Context, t *dyntrace.Trace, cfgs []cac
 	if insts == 0 {
 		return nil, fmt.Errorf("experiments: %s trace has no instructions; misses-per-instruction is undefined", t.Program().Name)
 	}
-	addrs, storeBits := t.Mem(insts)
-	if err := rs.AccessStreamContext(ctx, addrs, storeBits); err != nil {
-		return nil, err
-	}
-	mpi := make([]float64, len(cfgs))
-	for i, st := range rs.Stats() {
-		mpi[i] = float64(st.Misses) / float64(insts)
-	}
-	return mpi, nil
+	addrs, _ := t.Mem(insts)
+	return sweepMPI(ctx, addrs, cfgs, insts)
 }
 
 // cacheMPIFor dispatches to trace replay when t covers the budget.
