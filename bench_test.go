@@ -10,6 +10,7 @@ package perfclone
 // reports both the cost of the experiment and its headline result.
 
 import (
+	"context"
 	"testing"
 
 	"perfclone/internal/baseline"
@@ -226,11 +227,11 @@ func BenchmarkAblationContext(b *testing.B) {
 				b.Fatal(err)
 			}
 			lim := uarch.Limits{Warmup: 100_000, MaxInsts: 300_000}
-			realSt, err := uarch.RunLimits(p, uarch.BaseConfig(), lim)
+			realSt, err := uarch.RunLimitsContext(context.Background(), p, uarch.BaseConfig(), lim)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cloneSt, err := uarch.RunLimits(clone.Program, uarch.BaseConfig(), lim)
+			cloneSt, err := uarch.RunLimitsContext(context.Background(), clone.Program, uarch.BaseConfig(), lim)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -269,11 +270,11 @@ func BenchmarkAblationBranchModel(b *testing.B) {
 				b.Fatal(err)
 			}
 			lim := uarch.Limits{Warmup: 100_000, MaxInsts: 300_000}
-			realSt, err := uarch.RunLimits(p, uarch.BaseConfig(), lim)
+			realSt, err := uarch.RunLimitsContext(context.Background(), p, uarch.BaseConfig(), lim)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cloneSt, err := uarch.RunLimits(clone.Program, uarch.BaseConfig(), lim)
+			cloneSt, err := uarch.RunLimitsContext(context.Background(), clone.Program, uarch.BaseConfig(), lim)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -15,6 +18,16 @@ BenchmarkUnknownThing 	       1	 123456 ns/op
 PASS
 ok  	perfclone	3.456s
 `
+
+// parseBenchLines extracts name -> ns/op from `go test -bench` output,
+// the way main reads it.
+func parseBenchLines(r io.Reader) (map[string]float64, error) {
+	metrics, err := parseMetrics(r)
+	if err != nil {
+		return nil, err
+	}
+	return nsPerOp(metrics), nil
+}
 
 func sampleBaseline() baselineFile {
 	var b baselineFile
@@ -112,5 +125,80 @@ BenchmarkTable3DesignChanges 	       1	 900000000 ns/op
 	}
 	if even["BenchmarkX"] != 20 {
 		t.Errorf("even-count median = %v, want 20", even["BenchmarkX"])
+	}
+}
+
+// benchFidelity is bench-smoke output carrying every fidelity metric
+// BENCH_timing.json records, at the values it records.
+const benchFidelity = `BenchmarkTable3DesignChanges-2 	       1	 800000000 ns/op	         2.890 relerr-ipc-%	         2.307 relerr-pow-%
+BenchmarkFig4CacheTracking-2 	       1	 200000000 ns/op	         0.9259 pearson-R
+BenchmarkFig6BaseIPC-2 	       1	 150000000 ns/op	         4.960 ipc-err-%
+`
+
+func loadFidelity(t *testing.T) fidelityBaseline {
+	t.Helper()
+	raw, err := os.ReadFile("../../BENCH_timing.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fid fidelityBaseline
+	if err := json.Unmarshal(raw, &fid); err != nil {
+		t.Fatal(err)
+	}
+	return fid
+}
+
+func fidelityReport(t *testing.T, bench string) ([]string, string) {
+	t.Helper()
+	metrics, err := parseMetrics(strings.NewReader(bench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	drifted := checkFidelity(&out, loadFidelity(t), metrics)
+	return drifted, out.String()
+}
+
+// TestFidelityMatch: the committed baseline's fidelity figures, printed
+// at bench precision (2.890 for a recorded 2.89), pass.
+func TestFidelityMatch(t *testing.T) {
+	drifted, report := fidelityReport(t, benchFidelity)
+	if len(drifted) != 0 {
+		t.Fatalf("drifted = %v, want none:\n%s", drifted, report)
+	}
+	if n := strings.Count(report, "benchcheck: FIDELITY-OK "); n != 4 {
+		t.Fatalf("%d metrics checked, want 4:\n%s", n, report)
+	}
+}
+
+// TestFidelityDrift: a metric that differs at the baseline's printed
+// precision fails with a greppable FIDELITY-DRIFT line; the others still
+// pass.
+func TestFidelityDrift(t *testing.T) {
+	bench := strings.Replace(benchFidelity, "0.9259 pearson-R", "0.9260 pearson-R", 1)
+	drifted, report := fidelityReport(t, bench)
+	if len(drifted) != 1 || drifted[0] != "BenchmarkFig4CacheTracking pearson_R" {
+		t.Fatalf("drifted = %v, want exactly Fig4's pearson_R:\n%s", drifted, report)
+	}
+	if !strings.Contains(report, "benchcheck: FIDELITY-DRIFT BenchmarkFig4CacheTracking pearson_R: 0.926 vs baseline 0.9259") {
+		t.Fatalf("report lacks the drift line:\n%s", report)
+	}
+}
+
+// TestFidelityMissingMetric: a benchmark that ran without reporting a
+// recorded fidelity metric fails; a benchmark that did not run is not
+// checked.
+func TestFidelityMissingMetric(t *testing.T) {
+	bench := strings.Replace(benchFidelity, "	         2.307 relerr-pow-%", "", 1)
+	bench = strings.Replace(bench, "BenchmarkFig6BaseIPC-2 	       1	 150000000 ns/op	         4.960 ipc-err-%\n", "", 1)
+	drifted, report := fidelityReport(t, bench)
+	if len(drifted) != 1 || drifted[0] != "BenchmarkTable3DesignChanges relerr_pow_pct" {
+		t.Fatalf("drifted = %v, want exactly Table3's relerr_pow_pct:\n%s", drifted, report)
+	}
+	if !strings.Contains(report, "benchcheck: FIDELITY-DRIFT BenchmarkTable3DesignChanges relerr_pow_pct: not reported") {
+		t.Fatalf("report lacks the missing-metric line:\n%s", report)
+	}
+	if strings.Contains(report, "BenchmarkFig6BaseIPC") {
+		t.Fatalf("a benchmark that did not run was checked:\n%s", report)
 	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -96,14 +97,14 @@ func run(name, file string, useClone, useStatsim bool, cfgName string, insts, wa
 		if err != nil {
 			return err
 		}
-		st, err = statsim.Estimate(prof, rates, cfg, statsim.Options{TraceLen: insts})
+		st, err = statsim.Estimate(context.Background(), prof, rates, cfg, statsim.Options{TraceLen: insts})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("mode:      statistical simulation (rates: L1D %.2f%%, L2 %.2f%%, bpred %.2f%%)\n",
 			100*rates.L1DMiss, 100*rates.L2Miss, 100*rates.Mispred)
 	} else {
-		st, err = uarch.RunLimits(p, cfg, uarch.Limits{MaxInsts: insts, Warmup: warmup})
+		st, err = uarch.RunLimitsContext(context.Background(), p, cfg, uarch.Limits{MaxInsts: insts, Warmup: warmup})
 		if err != nil {
 			return err
 		}

@@ -15,8 +15,10 @@ import (
 	"os"
 
 	"perfclone/internal/cache"
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/experiments"
 	"perfclone/internal/profile"
+	"perfclone/internal/prog"
 	"perfclone/internal/stats"
 	"perfclone/internal/synth"
 	"perfclone/internal/workloads"
@@ -41,15 +43,21 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Capture each program's dynamic stream once, then sweep its data
+	// references through all 28 configurations in one pass.
 	cfgs := cache.Sweep28()
-	realMPI, err := experiments.CacheMPI(app, cfgs, 1_000_000)
-	if err != nil {
-		log.Fatal(err)
+	mpi := func(p *prog.Program) []float64 {
+		t, err := dyntrace.Capture(p, 1_000_000)
+		if err != nil {
+			log.Fatal(err)
+		}
+		m, err := experiments.CacheMPIFromTrace(t, cfgs, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return m
 	}
-	cloneMPI, err := experiments.CacheMPI(clone.Program, cfgs, 1_000_000)
-	if err != nil {
-		log.Fatal(err)
-	}
+	realMPI, cloneMPI := mpi(app), mpi(clone.Program)
 
 	fmt.Printf("cache design study for %s (misses per 1000 instructions)\n\n", name)
 	fmt.Printf("%-18s %10s %10s\n", "configuration", "real", "clone")

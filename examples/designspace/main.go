@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -22,7 +23,7 @@ import (
 )
 
 func measure(p *prog.Program, cfg uarch.Config) (ipc, pw float64, err error) {
-	st, err := uarch.RunLimits(p, cfg, uarch.Limits{Warmup: 150_000, MaxInsts: 500_000})
+	st, err := uarch.RunLimitsContext(context.Background(), p, cfg, uarch.Limits{Warmup: 150_000, MaxInsts: 500_000})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -50,11 +51,11 @@ func main() {
 
 	// 4. Compare both on the paper's Table 2 base configuration.
 	lim := uarch.Limits{Warmup: 150_000, MaxInsts: 500_000}
-	realStats, err := uarch.RunLimits(app, uarch.BaseConfig(), lim)
+	realStats, err := uarch.RunLimitsContext(context.Background(), app, uarch.BaseConfig(), lim)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cloneStats, err := uarch.RunLimits(clone.Program, uarch.BaseConfig(), lim)
+	cloneStats, err := uarch.RunLimitsContext(context.Background(), clone.Program, uarch.BaseConfig(), lim)
 	if err != nil {
 		log.Fatal(err)
 	}

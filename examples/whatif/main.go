@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -68,7 +69,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := uarch.RunLimits(clone.Program, base, uarch.Limits{Warmup: 150_000, MaxInsts: 500_000})
+		st, err := uarch.RunLimitsContext(context.Background(), clone.Program, base, uarch.Limits{Warmup: 150_000, MaxInsts: 500_000})
 		if err != nil {
 			log.Fatal(err)
 		}

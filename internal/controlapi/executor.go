@@ -11,8 +11,10 @@ package controlapi
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"syscall"
 
 	"perfclone/internal/codegen"
 	"perfclone/internal/dyntrace"
@@ -117,8 +119,17 @@ func (s *Server) commitArtifact(name string, data []byte) error {
 		if err != nil {
 			return fmt.Errorf("controlapi: sync %s: %w", dir, err)
 		}
-		_ = d.Sync() // tolerated like store.syncDir; data fsync already landed
-		return d.Close()
+		serr := d.Sync()
+		cerr := d.Close()
+		// As in store.syncDir, only a filesystem that cannot sync a
+		// directory at all is tolerated. Any other failure leaves the
+		// rename possibly not durable, and the terminal WAL record must
+		// not outlive the artifact, so the commit fails (a transient
+		// error redoes it under Retry).
+		if serr != nil && !errors.Is(serr, syscall.EINVAL) && !errors.Is(serr, syscall.ENOTSUP) {
+			return fmt.Errorf("controlapi: sync %s: %w", dir, serr)
+		}
+		return cerr
 	})
 }
 

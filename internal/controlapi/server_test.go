@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -459,5 +461,74 @@ func TestExperimentJobReleasesTraces(t *testing.T) {
 	}
 	if releases != maps {
 		t.Errorf("jobs released %d of %d trace mappings", releases, maps)
+	}
+}
+
+// dirSyncFS is the OS filesystem whose fsync of one directory fails with
+// EIO for the first fails calls (every call when fails < 0), counting
+// every sync attempt on that directory.
+type dirSyncFS struct {
+	faultinject.FS
+	dir   string
+	fails int64
+	syncs atomic.Int64
+}
+
+func (d *dirSyncFS) Open(name string) (faultinject.File, error) {
+	f, err := d.FS.Open(name)
+	if err != nil || filepath.Clean(name) != filepath.Clean(d.dir) {
+		return f, err
+	}
+	return &dirSyncFile{File: f, fs: d}, nil
+}
+
+type dirSyncFile struct {
+	faultinject.File
+	fs *dirSyncFS
+}
+
+func (f *dirSyncFile) Sync() error {
+	n := f.fs.syncs.Add(1)
+	if f.fs.fails < 0 || n <= f.fs.fails {
+		return &os.PathError{Op: "sync", Path: f.Name(), Err: syscall.EIO}
+	}
+	return f.File.Sync()
+}
+
+// TestArtifactDirSyncFailureRetriesOrFails: an EIO from fsyncing the
+// artifacts directory means the rename may not be durable. The commit
+// must redo the whole write-and-rename under the retry policy, and a job
+// whose directory never syncs must end failed, not done.
+func TestArtifactDirSyncFailureRetriesOrFails(t *testing.T) {
+	noSleep := faultinject.RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}}
+	spec := jobqueue.Spec{Kind: jobqueue.KindProfile, Workload: "crc32", Insts: 50_000}
+	for _, tc := range []struct {
+		name     string
+		fails    int64
+		want     jobqueue.State
+		minSyncs int64
+	}{
+		{"fails-once", 1, jobqueue.StateDone, 2},
+		{"always-fails", -1, jobqueue.StateFailed, int64(noSleep.Attempts)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dataDir := t.TempDir()
+			fsys := &dirSyncFS{FS: faultinject.OS, dir: filepath.Join(dataDir, "artifacts"), fails: tc.fails}
+			_, _, ts := testServer(t, dataDir, jobqueue.Options{}, Config{Workers: 1, FS: fsys, Retry: noSleep})
+			code, job, _ := submit(t, ts, "alice", spec)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit: %d", code)
+			}
+			j := waitTerminal(t, ts, job.ID)
+			if j.State != tc.want {
+				t.Fatalf("job state %s (error %q), want %s", j.State, j.Error, tc.want)
+			}
+			if n := fsys.syncs.Load(); n < tc.minSyncs {
+				t.Fatalf("artifacts directory synced %d times, want at least %d", n, tc.minSyncs)
+			}
+			if tc.want == jobqueue.StateDone {
+				fetchArtifact(t, ts, job.ID)
+			}
+		})
 	}
 }

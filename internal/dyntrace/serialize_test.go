@@ -9,7 +9,7 @@ import (
 )
 
 // TestSaveLoadRoundTrip: every column survives the binary round trip, so
-// any replayer sees a bit-identical stream (uarch.Replay consumes only
+// any replayer sees a bit-identical stream (uarch.ReplayMultiWorkers consumes only
 // these columns; the experiments golden test pins end-to-end equality).
 func TestSaveLoadRoundTrip(t *testing.T) {
 	p := loopProgram(t)

@@ -7,8 +7,6 @@ import (
 	"perfclone/internal/bpred"
 	"perfclone/internal/cache"
 	"perfclone/internal/dyntrace"
-	"perfclone/internal/funcsim"
-	"perfclone/internal/prog"
 	"perfclone/internal/stats"
 	"perfclone/internal/supervise"
 	"perfclone/internal/synth"
@@ -35,33 +33,8 @@ type AblationRow struct {
 // ablationPredictors are the predictor sweep of the ablation.
 var ablationPredictors = []string{"gap", "bimodal", "gshare", "not-taken", "taken"}
 
-// mispredUnder replays a program against one predictor by executing it.
-func mispredUnder(p *prog.Program, predName string, maxInsts uint64) (float64, error) {
-	pred, err := bpred.ByName(predName)
-	if err != nil {
-		return 0, err
-	}
-	var look, miss uint64
-	obs := func(ev *funcsim.Event) error {
-		if ev.Inst.Op.IsBranch() {
-			look++
-			if pred.Predict(ev.PC) != ev.Taken {
-				miss++
-			}
-			pred.Update(ev.PC, ev.Taken)
-		}
-		return nil
-	}
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: maxInsts}, obs); err != nil {
-		return 0, err
-	}
-	if look == 0 {
-		return 0, nil
-	}
-	return float64(miss) / float64(look), nil
-}
-
-// mispredFromTrace is mispredUnder over a captured trace: it walks the
+// mispredFromTrace is a program's misprediction rate under one predictor
+// over the first maxInsts instructions of its trace: it walks the
 // static-id column and taken bitset directly, so a predictor sweep costs
 // no interpretation at all.
 func mispredFromTrace(t *dyntrace.Trace, predName string, maxInsts uint64) (float64, error) {
@@ -93,14 +66,6 @@ func mispredFromTrace(t *dyntrace.Trace, predName string, maxInsts uint64) (floa
 		return 0, nil
 	}
 	return float64(miss) / float64(look), nil
-}
-
-// mispredFor dispatches to the trace walk when t covers the budget.
-func mispredFor(p *prog.Program, t *dyntrace.Trace, predName string, maxInsts uint64) (float64, error) {
-	if traceCovers(t, maxInsts) {
-		return mispredFromTrace(t, predName, maxInsts)
-	}
-	return mispredUnder(p, predName, maxInsts)
 }
 
 // Ablation runs the baseline-vs-clone comparison for each pair. The
@@ -139,19 +104,28 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 			// The baseline clone is generated here, so its trace is captured
 			// here too — once, then shared by the cache sweep, the predictor
 			// sweep, and the training-point check below.
-			blTrace, err := dyntrace.CaptureContext(tctx, bl.Program, traceBudget(opts))
+			window := traceBudget(opts)
+			blTrace, err := dyntrace.CaptureContext(tctx, bl.Program, window)
 			if err != nil {
 				return err
 			}
-			realMPI, err := cacheMPIFor(tctx, pr.Real, pr.RealTrace, cfgs, opts.TimingInsts*2)
+			realTrace, err := traceFor(tctx, pr.Real, pr.RealTrace, window)
 			if err != nil {
 				return err
 			}
-			cloneMPI, err := cacheMPIFor(tctx, pr.Clone.Program, pr.CloneTrace, cfgs, opts.TimingInsts*2)
+			cloneTrace, err := traceFor(tctx, pr.Clone.Program, pr.CloneTrace, window)
 			if err != nil {
 				return err
 			}
-			blMPI, err := cacheMPIFor(tctx, bl.Program, blTrace, cfgs, opts.TimingInsts*2)
+			realMPI, err := CacheMPIFromTraceContext(tctx, realTrace, cfgs, window)
+			if err != nil {
+				return err
+			}
+			cloneMPI, err := CacheMPIFromTraceContext(tctx, cloneTrace, cfgs, window)
+			if err != nil {
+				return err
+			}
+			blMPI, err := CacheMPIFromTraceContext(tctx, blTrace, cfgs, window)
 			if err != nil {
 				return err
 			}
@@ -180,15 +154,15 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 					return err
 				}
 				supervise.Beat(tctx)
-				realM, err := mispredFor(pr.Real, pr.RealTrace, pn, opts.TimingInsts)
+				realM, err := mispredFromTrace(realTrace, pn, opts.TimingInsts)
 				if err != nil {
 					return err
 				}
-				cloneM, err := mispredFor(pr.Clone.Program, pr.CloneTrace, pn, opts.TimingInsts)
+				cloneM, err := mispredFromTrace(cloneTrace, pn, opts.TimingInsts)
 				if err != nil {
 					return err
 				}
-				blM, err := mispredFor(bl.Program, blTrace, pn, opts.TimingInsts)
+				blM, err := mispredFromTrace(blTrace, pn, opts.TimingInsts)
 				if err != nil {
 					return err
 				}
@@ -197,7 +171,7 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 			}
 			n := float64(len(ablationPredictors))
 
-			blTrainMiss, err := missRateFor(tctx, bl.Program, blTrace, train.Cache, opts.TimingInsts)
+			blTrainMiss, err := missRateFromTrace(tctx, blTrace, train.Cache, opts.TimingInsts)
 			if err != nil {
 				return err
 			}
@@ -216,19 +190,10 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 	return rows, err
 }
 
-// missRateFor computes a program's miss rate on one cache config from
-// the captured trace's packed reference stream when it covers the
-// budget, else from the stream of an execution.
-func missRateFor(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfg cache.Config, maxInsts uint64) (float64, error) {
-	var addrs []uint64
-	if traceCovers(t, maxInsts) {
-		addrs, _ = t.Mem(maxInsts)
-	} else {
-		var err error
-		if addrs, _, err = referenceStream(ctx, p, maxInsts); err != nil {
-			return 0, err
-		}
-	}
+// missRateFromTrace is a program's miss rate on one cache config over
+// the packed reference stream of its trace's first maxInsts instructions.
+func missRateFromTrace(ctx context.Context, t *dyntrace.Trace, cfg cache.Config, maxInsts uint64) (float64, error) {
+	addrs, _ := t.Mem(maxInsts)
 	misses, err := cache.SweepMisses(ctx, addrs, []cache.Config{cfg})
 	if err != nil {
 		return 0, err

@@ -215,7 +215,7 @@ func TestChaosMmapParallelReplay(t *testing.T) {
 		cfgs = append(cfgs, c)
 	}
 	lim := uarch.Limits{Warmup: 20_000, MaxInsts: 100_000}
-	want, err := uarch.ReplayMulti(tr, cfgs, lim)
+	want, err := uarch.ReplayMultiWorkers(context.Background(), tr, cfgs, lim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

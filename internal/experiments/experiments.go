@@ -21,7 +21,6 @@ import (
 	"perfclone/internal/cache"
 	"perfclone/internal/dyntrace"
 	"perfclone/internal/fidelity"
-	"perfclone/internal/funcsim"
 	"perfclone/internal/power"
 	"perfclone/internal/profile"
 	"perfclone/internal/prog"
@@ -162,7 +161,9 @@ type Pair struct {
 	// RealTrace and CloneTrace are each program's dynamic instruction
 	// stream, executed once in Prepare (with budget traceBudget) and
 	// shared read-only by every cache sweep, timing run, and predictor
-	// study — the interpreter never re-runs for these programs.
+	// study — the interpreter never re-runs for these programs. A study
+	// that finds a trace missing or too short captures its own
+	// (traceFor).
 	RealTrace  *dyntrace.Trace
 	CloneTrace *dyntrace.Trace
 }
@@ -172,47 +173,31 @@ type Pair struct {
 // budget; every timing run uses at most 1×).
 func traceBudget(opts Options) uint64 { return opts.TimingInsts * 2 }
 
-// traceCovers reports whether t can stand in for executing its program up
-// to maxInsts instructions: the trace must either contain the complete
-// run (halted) or at least maxInsts instructions. Consumers fall back to
-// execution-driven simulation when it cannot (e.g. a Pair built by hand,
-// or options asking for more instructions than Prepare captured).
-func traceCovers(t *dyntrace.Trace, maxInsts uint64) bool {
-	return t != nil && (t.Halted() || (maxInsts > 0 && t.Insts() >= maxInsts))
-}
-
-// runTimed times a program on cfg, replaying its captured trace when it
-// covers the requested window and executing otherwise. Replay is
-// bit-identical to execution (see uarch.Replay). Cancelling ctx aborts
-// within one pipeline chunk.
-func runTimed(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfg uarch.Config, lim uarch.Limits) (uarch.Stats, error) {
-	if traceCovers(t, lim.MaxInsts) {
-		return uarch.ReplayContext(ctx, t, cfg, lim)
+// traceFor returns a trace covering the first n instructions of p (n = 0:
+// the whole run): t itself when it holds the complete run or at least n
+// instructions, else a fresh capture. Prepare's traces always cover every
+// study's window; a Pair built by hand, or a window larger than Prepare
+// captured, gets its stream captured here. Either way the studies read a
+// trace, and replaying it is bit-identical to executing p.
+func traceFor(ctx context.Context, p *prog.Program, t *dyntrace.Trace, n uint64) (*dyntrace.Trace, error) {
+	if t != nil && (t.Halted() || (n > 0 && t.Insts() >= n)) {
+		return t, nil
 	}
-	return uarch.RunLimitsContext(ctx, p, cfg, lim)
+	return dyntrace.CaptureContext(ctx, p, n)
 }
 
-// runTimedMulti times a program on every configuration in cfgs. When the
-// captured trace covers the window, the whole sweep fuses into a single
-// trace walk (uarch.ReplayMultiWorkers): the stream is decoded once and
-// feeds all pipelines, with the configurations striped across workers
-// goroutines (1 = fully serial). Otherwise it falls back to serial
-// execution-driven runs. Either way the results are bit-identical to
-// len(cfgs) serial runTimed calls for every worker count, so
-// checkpointed rows from older runs stay valid.
+// runTimedMulti times a program on every configuration in cfgs as a
+// single fused walk of its trace (uarch.ReplayMultiWorkers): the stream
+// is decoded once and feeds all pipelines, with the configurations
+// striped across workers goroutines (1 = fully serial). The results are
+// bit-identical for every worker count, so checkpointed rows from older
+// runs stay valid.
 func runTimedMulti(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfgs []uarch.Config, lim uarch.Limits, workers int) ([]uarch.Stats, error) {
-	if traceCovers(t, lim.MaxInsts) {
-		return uarch.ReplayMultiWorkers(ctx, t, cfgs, lim, workers)
+	t, err := traceFor(ctx, p, t, lim.MaxInsts)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]uarch.Stats, len(cfgs))
-	for i, cfg := range cfgs {
-		st, err := uarch.RunLimitsContext(ctx, p, cfg, lim)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
-	return out, nil
+	return uarch.ReplayMultiWorkers(ctx, t, cfgs, lim, workers)
 }
 
 // Prepare profiles each selected workload, generates its clone, and
@@ -662,56 +647,6 @@ type Fig4Row struct {
 	CloneMPI []float64
 }
 
-// CacheMPI measures misses-per-instruction for every configuration in
-// cfgs by executing the program and sweeping its data reference stream
-// through all of them at once. Prefer CacheMPIFromTrace when a captured
-// trace is available — it produces identical numbers without the
-// interpreter.
-func CacheMPI(p *prog.Program, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
-	return CacheMPIContext(context.Background(), p, cfgs, maxInsts)
-}
-
-// CacheMPIContext is CacheMPI with cooperative cancellation, polled every
-// 64 Ki retired instructions and throughout the sweep.
-func CacheMPIContext(ctx context.Context, p *prog.Program, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
-	addrs, insts, err := referenceStream(ctx, p, maxInsts)
-	if err != nil {
-		return nil, err
-	}
-	if insts == 0 {
-		return nil, fmt.Errorf("experiments: %s retired no instructions; misses-per-instruction is undefined", p.Name)
-	}
-	return sweepMPI(ctx, addrs, cfgs, insts)
-}
-
-// referenceStream executes p for up to maxInsts instructions and returns
-// its data-reference addresses in program order and the instructions
-// retired, polling ctx every 64 Ki instructions.
-func referenceStream(ctx context.Context, p *prog.Program, maxInsts uint64) ([]uint64, uint64, error) {
-	var addrs []uint64
-	var insts uint64
-	tick := supervise.TickerFrom(ctx)
-	obs := func(ev *funcsim.Event) error {
-		insts++
-		if insts&(1<<16-1) == 0 {
-			if err := supervise.Cause(ctx); err != nil {
-				return err
-			}
-			if tick != nil {
-				tick()
-			}
-		}
-		if ev.Inst.Op.IsMem() {
-			addrs = append(addrs, ev.Addr)
-		}
-		return nil
-	}
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: maxInsts}, obs); err != nil {
-		return nil, 0, err
-	}
-	return addrs, insts, nil
-}
-
 // sweepMPI sweeps a reference stream through cfgs and divides each
 // configuration's misses by insts.
 func sweepMPI(ctx context.Context, addrs []uint64, cfgs []cache.Config, insts uint64) ([]float64, error) {
@@ -726,10 +661,10 @@ func sweepMPI(ctx context.Context, addrs []uint64, cfgs []cache.Config, insts ui
 	return mpi, nil
 }
 
-// CacheMPIFromTrace is CacheMPI over a captured trace: it sweeps the
-// packed data-reference stream of the first maxInsts instructions
-// (0 = whole trace) through every configuration, with no functional
-// execution.
+// CacheMPIFromTrace measures misses-per-instruction for every
+// configuration in cfgs: it sweeps the packed data-reference stream of
+// the trace's first maxInsts instructions (0 = whole trace) through all of
+// them at once.
 func CacheMPIFromTrace(t *dyntrace.Trace, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
 	return CacheMPIFromTraceContext(context.Background(), t, cfgs, maxInsts)
 }
@@ -746,14 +681,6 @@ func CacheMPIFromTraceContext(ctx context.Context, t *dyntrace.Trace, cfgs []cac
 	}
 	addrs, _ := t.Mem(insts)
 	return sweepMPI(ctx, addrs, cfgs, insts)
-}
-
-// cacheMPIFor dispatches to trace replay when t covers the budget.
-func cacheMPIFor(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
-	if traceCovers(t, maxInsts) {
-		return CacheMPIFromTraceContext(ctx, t, cfgs, maxInsts)
-	}
-	return CacheMPIContext(ctx, p, cfgs, maxInsts)
 }
 
 // Fig4 reproduces Figure 4: per-workload Pearson correlation of real vs
@@ -778,11 +705,20 @@ func Fig4Context(ctx context.Context, pairs []*Pair, opts Options) ([]Fig4Row, e
 	err = forEach(ctx, opts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			real, err := cacheMPIFor(tctx, pr.Real, pr.RealTrace, cfgs, opts.TimingInsts*2)
+			window := traceBudget(opts)
+			rt, err := traceFor(tctx, pr.Real, pr.RealTrace, window)
 			if err != nil {
 				return err
 			}
-			clone, err := cacheMPIFor(tctx, pr.Clone.Program, pr.CloneTrace, cfgs, opts.TimingInsts*2)
+			real, err := CacheMPIFromTraceContext(tctx, rt, cfgs, window)
+			if err != nil {
+				return err
+			}
+			ct, err := traceFor(tctx, pr.Clone.Program, pr.CloneTrace, window)
+			if err != nil {
+				return err
+			}
+			clone, err := CacheMPIFromTraceContext(tctx, ct, cfgs, window)
 			if err != nil {
 				return err
 			}
@@ -867,7 +803,7 @@ func Fig6and7Context(ctx context.Context, pairs []*Pair, opts Options) ([]BaseRo
 	opts = opts.withDefaults()
 	ctx, cancelStage := stageContext(ctx, opts, "fig6and7")
 	defer cancelStage()
-	base := uarch.BaseConfig()
+	base := []uarch.Config{uarch.BaseConfig()}
 	lim := uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts}
 	sr, err := newStage(opts, "fig6and7", len(pairs))
 	if err != nil {
@@ -878,14 +814,15 @@ func Fig6and7Context(ctx context.Context, pairs []*Pair, opts Options) ([]BaseRo
 	err = forEach(ctx, opts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			str, err := runTimed(tctx, pr.Real, pr.RealTrace, base, lim)
+			rs, err := runTimedMulti(tctx, pr.Real, pr.RealTrace, base, lim, 1)
 			if err != nil {
 				return err
 			}
-			sts, err := runTimed(tctx, pr.Clone.Program, pr.CloneTrace, base, lim)
+			cs, err := runTimedMulti(tctx, pr.Clone.Program, pr.CloneTrace, base, lim, 1)
 			if err != nil {
 				return err
 			}
+			str, sts := rs[0], cs[0]
 			realPow := power.Estimate(str).AvgPower
 			clonePow := power.Estimate(sts).AvgPower
 			ipcErr, err := stats.AbsRelError(sts.IPC(), str.IPC())

@@ -145,7 +145,7 @@ func TestTable3AndFig8(t *testing.T) {
 
 func TestCacheMPIReferenceConfigIsWorst(t *testing.T) {
 	pairs := preparePairs(t)
-	mpi, err := CacheMPI(pairs[0].Real, cache.Sweep28(), 200_000)
+	mpi, err := CacheMPIFromTrace(pairs[0].RealTrace, cache.Sweep28(), 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ var extensionPredictors = []string{"gap", "gshare", "bimodal", "taken", "not-tak
 
 // PredictorSweep measures real and clone IPC under each predictor. Each
 // workload's whole predictor sweep runs as one fused replay of its pair
-// of captured traces (uarch.ReplayMulti), with the worker pool
+// of captured traces (uarch.ReplayMultiWorkers), with the worker pool
 // parallelizing across workloads.
 func PredictorSweep(pairs []*Pair, opts Options) ([]PredictorRow, error) {
 	return PredictorSweepContext(context.Background(), pairs, opts)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"perfclone/internal/profile"
@@ -101,7 +102,7 @@ func cloneIPCWithSeed(opts Options, seed uint64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	st, err := uarch.RunLimits(clone.Program, uarch.BaseConfig(),
+	st, err := uarch.RunLimitsContext(context.Background(), clone.Program, uarch.BaseConfig(),
 		uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts})
 	if err != nil {
 		return 0, err

@@ -6,8 +6,8 @@ import (
 	"io"
 	"strings"
 
-	"perfclone/internal/power"
 	"perfclone/internal/profile"
+	"perfclone/internal/prog"
 	"perfclone/internal/stats"
 	"perfclone/internal/synth"
 	"perfclone/internal/uarch"
@@ -48,7 +48,7 @@ func InputSensitivityContext(ctx context.Context, opts Options) ([]InputRow, err
 	opts = opts.withDefaults()
 	ctx, cancelStage := stageContext(ctx, opts, "inputs")
 	defer cancelStage()
-	base := uarch.BaseConfig()
+	base := []uarch.Config{uarch.BaseConfig()}
 	lim := uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts}
 	variants := workloads.Large()
 	sr, err := newStage(opts, "inputs", len(variants))
@@ -85,23 +85,17 @@ func InputSensitivityContext(ctx context.Context, opts Options) ([]InputRow, err
 				return err
 			}
 
-			rs, err := uarch.RunLimitsContext(tctx, smallProg, base, lim)
-			if err != nil {
-				return err
+			// None of these four programs has a captured trace, so each
+			// timing run captures its own (runTimedMulti via traceFor).
+			var sts [4]uarch.Stats
+			for k, p := range []*prog.Program{smallProg, largeProg, smallClone.Program, largeClone.Program} {
+				st, err := runTimedMulti(tctx, p, nil, base, lim, 1)
+				if err != nil {
+					return err
+				}
+				sts[k] = st[0]
 			}
-			rl, err := uarch.RunLimitsContext(tctx, largeProg, base, lim)
-			if err != nil {
-				return err
-			}
-			cs, err := uarch.RunLimitsContext(tctx, smallClone.Program, base, lim)
-			if err != nil {
-				return err
-			}
-			cl, err := uarch.RunLimitsContext(tctx, largeClone.Program, base, lim)
-			if err != nil {
-				return err
-			}
-			_ = power.Estimate(rs) // exercised for parity; IPC is the metric here
+			rs, rl, cs, cl := sts[0], sts[1], sts[2], sts[3]
 
 			evs, err := stats.AbsRelError(cs.IPC(), rs.IPC())
 			if err != nil {

@@ -7,6 +7,8 @@ import (
 
 	"perfclone/internal/cache"
 	"perfclone/internal/dyntrace"
+	"perfclone/internal/funcsim"
+	"perfclone/internal/prog"
 	"perfclone/internal/uarch"
 	"perfclone/internal/workloads"
 )
@@ -32,14 +34,15 @@ func TestReplayGoldenUarch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exec, err := uarch.RunLimits(p, base, lim)
+		exec, err := uarch.RunLimitsContext(context.Background(), p, base, lim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay, err := uarch.Replay(tr, base, lim)
+		replays, err := uarch.ReplayMultiWorkers(context.Background(), tr, []uarch.Config{base}, lim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		replay := replays[0]
 		if !reflect.DeepEqual(exec, replay) {
 			t.Errorf("%s: replay stats diverge from execution\nexec:   %+v\nreplay: %+v", name, exec, replay)
 		}
@@ -47,6 +50,26 @@ func TestReplayGoldenUarch(t *testing.T) {
 			t.Errorf("%s: IPC %v (exec) != %v (replay)", name, exec.IPC(), replay.IPC())
 		}
 	}
+}
+
+// executedMPI is the execution-driven reference for the cache sweep: it
+// runs p in the functional simulator for up to maxInsts instructions,
+// collects its data-reference addresses from the event stream, and sweeps
+// them through cfgs. It shares no code with the trace's packed address
+// column.
+func executedMPI(p *prog.Program, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
+	var addrs []uint64
+	obs := func(ev *funcsim.Event) error {
+		if ev.Inst.Op.IsMem() {
+			addrs = append(addrs, ev.Addr)
+		}
+		return nil
+	}
+	res, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: maxInsts}, obs)
+	if err != nil {
+		return nil, err
+	}
+	return sweepMPI(context.Background(), addrs, cfgs, res.Insts)
 }
 
 // TestReplayGoldenCacheMPI proves the packed-stream cache replay produces
@@ -64,7 +87,7 @@ func TestReplayGoldenCacheMPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exec, err := CacheMPI(p, cfgs, maxInsts)
+		exec, err := executedMPI(p, cfgs, maxInsts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,16 +134,16 @@ func TestReplayMultiGolden28(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fused, err := uarch.ReplayMulti(tr, cfgs, lim)
+		fused, err := uarch.ReplayMultiWorkers(context.Background(), tr, cfgs, lim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, cfg := range cfgs {
-			serial, err := uarch.Replay(tr, cfg, lim)
+			serial, err := uarch.ReplayMultiWorkers(context.Background(), tr, []uarch.Config{cfg}, lim, 1)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, cfg.Name, err)
 			}
-			if !reflect.DeepEqual(fused[i], serial) {
+			if !reflect.DeepEqual(fused[i], serial[0]) {
 				t.Errorf("%s %s: fused replay diverges from serial", name, cfg.Name)
 			}
 		}
@@ -176,5 +199,70 @@ func TestParallelGridRace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sumsPar, sumsSer) {
 		t.Error("Table3 summaries depend on worker count")
+	}
+}
+
+// TestTraceFallbackMatchesPrepared: a Pair whose traces are missing, or
+// too short for a study's window, makes the study capture the stream it
+// needs. Its rows must be identical to those from Prepare's traces.
+func TestTraceFallbackMatchesPrepared(t *testing.T) {
+	opts := smallOpts()
+	opts.Workloads = []string{"crc32", "qsort"}
+	prepared, err := Prepare(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := make([]*Pair, len(prepared))
+	for i, pr := range prepared {
+		cp := *pr
+		cp.RealTrace, cp.CloneTrace = nil, nil
+		bare[i] = &cp
+	}
+	// The second pair keeps traces that cover neither window.
+	for _, tp := range []struct {
+		dst **dyntrace.Trace
+		p   *prog.Program
+	}{{&bare[1].RealTrace, bare[1].Real}, {&bare[1].CloneTrace, bare[1].Clone.Program}} {
+		if *tp.dst, err = dyntrace.Capture(tp.p, 10_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type studies struct {
+		Fig4     []Fig4Row
+		Fig6and7 []BaseRow
+		Table3   []DesignRow
+		Summary  []Table3Summary
+		Ablation []AblationRow
+	}
+	run := func(pairs []*Pair) studies {
+		var s studies
+		var err error
+		if s.Fig4, err = Fig4(pairs, opts); err != nil {
+			t.Fatal(err)
+		}
+		if s.Fig6and7, err = Fig6and7(pairs, opts); err != nil {
+			t.Fatal(err)
+		}
+		if s.Table3, s.Summary, err = Table3(pairs, opts); err != nil {
+			t.Fatal(err)
+		}
+		if s.Ablation, err = Ablation(pairs, opts); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want, got := run(prepared), run(bare)
+	if !reflect.DeepEqual(got.Fig4, want.Fig4) {
+		t.Error("Fig4 rows differ without Prepare's traces")
+	}
+	if !reflect.DeepEqual(got.Fig6and7, want.Fig6and7) {
+		t.Error("Fig6and7 rows differ without Prepare's traces")
+	}
+	if !reflect.DeepEqual(got.Table3, want.Table3) || !reflect.DeepEqual(got.Summary, want.Summary) {
+		t.Error("Table3 rows differ without Prepare's traces")
+	}
+	if !reflect.DeepEqual(got.Ablation, want.Ablation) {
+		t.Error("Ablation rows differ without Prepare's traces")
 	}
 }

@@ -35,6 +35,7 @@ func StatsimComparisonContext(ctx context.Context, pairs []*Pair, opts Options) 
 	ctx, cancelStage := stageContext(ctx, opts, "statsim")
 	defer cancelStage()
 	base := uarch.BaseConfig()
+	cfgs := []uarch.Config{base}
 	lim := uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts}
 	sr, err := newStage(opts, "statsim", len(pairs))
 	if err != nil {
@@ -45,19 +46,20 @@ func StatsimComparisonContext(ctx context.Context, pairs []*Pair, opts Options) 
 	err = forEach(ctx, opts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			detailed, err := runTimed(tctx, pr.Real, pr.RealTrace, base, lim)
+			rs, err := runTimedMulti(tctx, pr.Real, pr.RealTrace, cfgs, lim, 1)
 			if err != nil {
 				return err
 			}
-			clone, err := runTimed(tctx, pr.Clone.Program, pr.CloneTrace, base, lim)
+			cs, err := runTimedMulti(tctx, pr.Clone.Program, pr.CloneTrace, cfgs, lim, 1)
 			if err != nil {
 				return err
 			}
+			detailed, clone := rs[0], cs[0]
 			rates, err := statsim.MeasureRates(pr.Real, base, opts.TimingInsts)
 			if err != nil {
 				return err
 			}
-			est, err := statsim.Estimate(pr.Profile, rates, base, statsim.Options{TraceLen: opts.TimingInsts})
+			est, err := statsim.Estimate(tctx, pr.Profile, rates, base, statsim.Options{TraceLen: opts.TimingInsts})
 			if err != nil {
 				return err
 			}

@@ -12,6 +12,7 @@
 package statsim
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -89,7 +90,9 @@ type Options struct {
 
 // Estimate generates a synthetic trace from the profile with the given
 // dependent rates and times it on cfg, returning pipeline statistics.
-func Estimate(prof *profile.Profile, rates Rates, cfg uarch.Config, opts Options) (uarch.Stats, error) {
+// Cancelling ctx aborts the timing run within one pipeline chunk with the
+// context's cause.
+func Estimate(ctx context.Context, prof *profile.Profile, rates Rates, cfg uarch.Config, opts Options) (uarch.Stats, error) {
 	if len(prof.NodeList) == 0 {
 		return uarch.Stats{}, fmt.Errorf("statsim: profile %q has no SFG nodes", prof.Name)
 	}
@@ -100,7 +103,7 @@ func Estimate(prof *profile.Profile, rates Rates, cfg uarch.Config, opts Options
 		opts.Seed = 1
 	}
 	g := newTraceGen(prof, rates, cfg, opts.Seed)
-	return uarch.RunTrace(cfg, uarch.Limits{}, opts.TraceLen, g.next)
+	return uarch.RunTrace(ctx, cfg, uarch.Limits{}, opts.TraceLen, g.next)
 }
 
 // traceGen synthesizes the instruction stream.

@@ -1,10 +1,13 @@
 package statsim
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"perfclone/internal/profile"
+	"perfclone/internal/supervise"
 	"perfclone/internal/uarch"
 	"perfclone/internal/workloads"
 )
@@ -40,11 +43,11 @@ func TestEstimateApproximatesDetailedIPC(t *testing.T) {
 			w, _ := workloads.ByName(name)
 			p := w.Build()
 			prof, rates, cfg := setup(t, name)
-			detailed, err := uarch.RunLimits(p, cfg, uarch.Limits{Warmup: 100_000, MaxInsts: 400_000})
+			detailed, err := uarch.RunLimitsContext(context.Background(), p, cfg, uarch.Limits{Warmup: 100_000, MaxInsts: 400_000})
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, err := Estimate(prof, rates, cfg, Options{TraceLen: 300_000})
+			est, err := Estimate(context.Background(), prof, rates, cfg, Options{TraceLen: 300_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,11 +65,11 @@ func TestEstimateInjectsRates(t *testing.T) {
 	prof, _, cfg := setup(t, "crc32")
 	// Force heavy misses: the estimated IPC must drop substantially
 	// versus a no-miss estimate.
-	fast, err := Estimate(prof, Rates{}, cfg, Options{TraceLen: 200_000})
+	fast, err := Estimate(context.Background(), prof, Rates{}, cfg, Options{TraceLen: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Estimate(prof, Rates{L1DMiss: 0.5, L2Miss: 0.8, Mispred: 0.2}, cfg, Options{TraceLen: 200_000})
+	slow, err := Estimate(context.Background(), prof, Rates{L1DMiss: 0.5, L2Miss: 0.8, Mispred: 0.2}, cfg, Options{TraceLen: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +86,11 @@ func TestEstimateInjectsRates(t *testing.T) {
 
 func TestEstimateDeterministic(t *testing.T) {
 	prof, rates, cfg := setup(t, "fft")
-	a, err := Estimate(prof, rates, cfg, Options{TraceLen: 100_000, Seed: 5})
+	a, err := Estimate(context.Background(), prof, rates, cfg, Options{TraceLen: 100_000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Estimate(prof, rates, cfg, Options{TraceLen: 100_000, Seed: 5})
+	b, err := Estimate(context.Background(), prof, rates, cfg, Options{TraceLen: 100_000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestEstimateDeterministic(t *testing.T) {
 }
 
 func TestEstimateRejectsEmptyProfile(t *testing.T) {
-	if _, err := Estimate(&profile.Profile{Name: "x"}, Rates{}, uarch.BaseConfig(), Options{}); err == nil {
+	if _, err := Estimate(context.Background(), &profile.Profile{Name: "x"}, Rates{}, uarch.BaseConfig(), Options{}); err == nil {
 		t.Fatal("empty profile accepted")
 	}
 }
@@ -121,13 +124,13 @@ func TestStatisticalSimulationIsMicroarchDependent(t *testing.T) {
 	tiny := base
 	tiny.L1D.Size = 512
 	tiny.Name = "tiny-l1d"
-	detailedTiny, err := uarch.RunLimits(p, tiny, uarch.Limits{Warmup: 100_000, MaxInsts: 400_000})
+	detailedTiny, err := uarch.RunLimitsContext(context.Background(), p, tiny, uarch.Limits{Warmup: 100_000, MaxInsts: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Statistical simulation reuses the BASE rates at the tiny config —
 	// exactly what a fixed statistical profile would do.
-	estStale, err := Estimate(prof, baseRates, tiny, Options{TraceLen: 300_000})
+	estStale, err := Estimate(context.Background(), prof, baseRates, tiny, Options{TraceLen: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +140,7 @@ func TestStatisticalSimulationIsMicroarchDependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	estFresh, err := Estimate(prof, freshRates, tiny, Options{TraceLen: 300_000})
+	estFresh, err := Estimate(context.Background(), prof, freshRates, tiny, Options{TraceLen: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,5 +150,35 @@ func TestStatisticalSimulationIsMicroarchDependent(t *testing.T) {
 		detailedTiny.IPC(), estStale.IPC(), 100*staleErr, estFresh.IPC(), 100*freshErr)
 	if staleErr < freshErr {
 		t.Errorf("stale rates tracked the new configuration better than fresh ones — unexpected")
+	}
+}
+
+// TestEstimateCancel: the statsim stage is cancellable. A context
+// cancelled before the call, or one cancelled from the heartbeat the
+// timing walk ticks once per chunk, ends Estimate with the context's
+// cause and no Stats.
+func TestEstimateCancel(t *testing.T) {
+	prof, rates, cfg := setup(t, "crc32")
+	cause := errors.New("stop requested")
+	opts := Options{TraceLen: 1 << 20}
+
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	if st, err := Estimate(ctx, prof, rates, cfg, opts); !errors.Is(err, cause) || st.Insts != 0 {
+		t.Fatalf("pre-cancelled: err = %v, insts = %d; want the cause and no stats", err, st.Insts)
+	}
+
+	ctx, cancel = context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	ticks := 0
+	ctx = supervise.WithTicker(ctx, func() {
+		ticks++
+		cancel(cause)
+	})
+	if st, err := Estimate(ctx, prof, rates, cfg, opts); !errors.Is(err, cause) || st.Insts != 0 {
+		t.Fatalf("mid-run: err = %v, insts = %d; want the cause and no stats", err, st.Insts)
+	}
+	if ticks != 1 {
+		t.Fatalf("walk ran %d chunks after the cancel, want it to stop at the next one", ticks)
 	}
 }

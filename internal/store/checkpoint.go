@@ -68,13 +68,18 @@ func (s *Store) OpenCheckpoint(stage string, resume bool) (*Checkpoint, error) {
 	path := filepath.Join(s.dir, "checkpoints", sanitize(stage)+".jsonl")
 	cp := &Checkpoint{stage: stage, st: s, done: make(map[string]json.RawMessage)}
 	if resume {
-		if err := cp.load(path); err != nil {
+		torn, err := cp.load(path)
+		if err != nil {
 			if s.strict {
 				return nil, err
 			}
 			s.quarantine(path, err)
 			cp.done = make(map[string]json.RawMessage)
 		}
+		// A file that ends mid-line (a crash tore the last append) makes
+		// the first Mark lead with a newline, so the torn bytes stay on
+		// their own droppable line instead of swallowing the new record.
+		cp.dirty = torn
 	}
 	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
 	if !resume {
@@ -93,12 +98,29 @@ func (s *Store) OpenCheckpoint(stage string, resume bool) (*Checkpoint, error) {
 	return cp, nil
 }
 
+// tailReader remembers the last byte it handed out, so a scan can tell
+// whether the file ends in a torn (newline-less) record.
+type tailReader struct {
+	r    io.Reader
+	last byte
+}
+
+func (t *tailReader) Read(p []byte) (int, error) {
+	n, err := t.r.Read(p)
+	if n > 0 {
+		t.last = p[n-1]
+	}
+	return n, err
+}
+
 // load reads existing records into the done map, skipping lines that are
-// torn, corrupt, or fail their CRC.
-func (cp *Checkpoint) load(path string) error {
+// torn, corrupt, or fail their CRC. torn reports that the file does not
+// end in a newline.
+func (cp *Checkpoint) load(path string) (torn bool, err error) {
 	var dropped int
-	err := cp.st.readArtifact(path, func(r io.Reader) error {
-		sc := bufio.NewScanner(r)
+	err = cp.st.readArtifact(path, func(r io.Reader) error {
+		tr := &tailReader{r: r, last: '\n'}
+		sc := bufio.NewScanner(tr)
 		sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
 		done := make(map[string]json.RawMessage)
 		dropped = 0
@@ -128,19 +150,20 @@ func (cp *Checkpoint) load(path string) error {
 			return err
 		}
 		cp.done = done
+		torn = tr.last != '\n'
 		return nil
 	})
 	if errors.Is(err, iofs.ErrNotExist) {
-		return nil
+		return false, nil
 	}
 	if err != nil {
-		return fmt.Errorf("store: checkpoint %s: %w", cp.stage, err)
+		return false, fmt.Errorf("store: checkpoint %s: %w", cp.stage, err)
 	}
 	if dropped > 0 {
 		fmt.Fprintf(cp.st.log, "store: checkpoint %s: dropped %d torn or corrupt line(s); those cells recompute\n",
 			cp.stage, dropped)
 	}
-	return nil
+	return torn, nil
 }
 
 // Done returns the recorded result for cell, if the cell finished in a

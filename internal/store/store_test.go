@@ -229,3 +229,54 @@ func TestCheckpointTornTailDropped(t *testing.T) {
 		t.Fatal("torn cell must not count as done")
 	}
 }
+
+// TestCheckpointResumeAfterTornTailKeepsNextCell: the first record
+// appended after resuming a torn file must land on its own line. Without
+// that, it is glued to the torn bytes and the next resume drops both.
+func TestCheckpointResumeAfterTornTailKeepsNextCell(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := st.OpenCheckpoint("table3", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Mark("a", 1); err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+	path := filepath.Join(st.Dir(), "checkpoints", "table3.jsonl")
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"v":2,"cell":"b","da`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	cp2, err := st.OpenCheckpoint("table3", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp2.Mark("c", 3); err != nil {
+		t.Fatal(err)
+	}
+	cp2.Close()
+
+	cp3, err := st.OpenCheckpoint("table3", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp3.Close()
+	for _, cell := range []string{"a", "c"} {
+		if _, ok := cp3.Done(cell); !ok {
+			raw, _ := os.ReadFile(path)
+			t.Fatalf("cell %s lost after resuming a torn checkpoint; file:\n%s", cell, raw)
+		}
+	}
+	if _, ok := cp3.Done("b"); ok {
+		t.Fatal("torn cell must not count as done")
+	}
+}

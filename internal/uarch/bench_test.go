@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"context"
 	"testing"
 
 	"perfclone/internal/workloads"
@@ -18,7 +19,7 @@ func BenchmarkTimingSimulation(b *testing.B) {
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		st, err := Run(p, cfg, 200_000)
+		st, err := RunLimitsContext(context.Background(), p, cfg, Limits{MaxInsts: 200_000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func BenchmarkTimingSimulationWide(b *testing.B) {
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		st, err := Run(p, cfg, 200_000)
+		st, err := RunLimitsContext(context.Background(), p, cfg, Limits{MaxInsts: 200_000})
 		if err != nil {
 			b.Fatal(err)
 		}

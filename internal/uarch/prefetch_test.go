@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"context"
 	"testing"
 
 	"perfclone/internal/isa"
@@ -71,7 +72,7 @@ func TestRunTraceBasics(t *testing.T) {
 		}
 		return ti
 	}
-	st, err := RunTrace(cfg, Limits{}, 50_000, gen)
+	st, err := RunTrace(context.Background(), cfg, Limits{}, 50_000, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestRunTraceBasics(t *testing.T) {
 		t.Fatalf("branch lookups %d, want 5000", st.BranchLookups)
 	}
 	// A warmup-bounded trace run measures only the post-warmup portion.
-	warm, err := RunTrace(cfg, Limits{Warmup: 20_000}, 50_000, gen)
+	warm, err := RunTrace(context.Background(), cfg, Limits{Warmup: 20_000}, 50_000, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestRunTraceBasics(t *testing.T) {
 		t.Fatalf("measured %d after warmup, want 30000", warm.Insts)
 	}
 	// MaxInsts clips the generated stream.
-	clipped, err := RunTrace(cfg, Limits{MaxInsts: 1_000}, 50_000, gen)
+	clipped, err := RunTrace(context.Background(), cfg, Limits{MaxInsts: 1_000}, 50_000, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +118,11 @@ func TestRunTraceMemoryStream(t *testing.T) {
 			}
 		}
 	}
-	hot, err := RunTrace(cfg, Limits{}, 20_000, mk(0))
+	hot, err := RunTrace(context.Background(), cfg, Limits{}, 20_000, mk(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := RunTrace(cfg, Limits{}, 20_000, mk(64))
+	cold, err := RunTrace(context.Background(), cfg, Limits{}, 20_000, mk(64))
 	if err != nil {
 		t.Fatal(err)
 	}

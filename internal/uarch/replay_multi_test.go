@@ -46,9 +46,9 @@ func multiConfigs() []Config {
 	return cfgs
 }
 
-// TestReplayMultiMatchesSerial: one fused ReplayMulti pass must be
-// bit-identical (reflect.DeepEqual on full Stats) to N serial Replay
-// calls for every configuration — fusion only amortizes decode, never
+// TestReplayMultiMatchesSerial: one fused serial walk over every config
+// must be bit-identical (reflect.DeepEqual on full Stats) to N one-config
+// walks for every configuration — fusion only amortizes decode, never
 // couples the pipelines.
 func TestReplayMultiMatchesSerial(t *testing.T) {
 	w, err := workloads.ByName("crc32")
@@ -62,16 +62,16 @@ func TestReplayMultiMatchesSerial(t *testing.T) {
 	}
 	cfgs := multiConfigs()
 	lim := Limits{Warmup: 30_000, MaxInsts: 100_000}
-	fused, err := ReplayMulti(tr, cfgs, lim)
+	fused, err := ReplayMultiWorkers(context.Background(), tr, cfgs, lim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		serial, err := Replay(tr, cfg, lim)
+		serial, err := ReplayMultiWorkers(context.Background(), tr, []Config{cfg}, lim, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		if !reflect.DeepEqual(fused[i], serial) {
+		if !reflect.DeepEqual(fused[i], serial[0]) {
 			t.Errorf("%s: fused stats differ from serial replay", cfg.Name)
 		}
 	}
@@ -110,7 +110,7 @@ func TestReplayMultiWorkersRace(t *testing.T) {
 	}
 	cfgs := multiConfigs()
 	lim := Limits{Warmup: 20_000, MaxInsts: 80_000}
-	want, err := ReplayMulti(tr, cfgs, lim)
+	want, err := ReplayMultiWorkers(context.Background(), tr, cfgs, lim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestReplayMultiWorkersCancelDrains(t *testing.T) {
 }
 
 // TestReplayMultiValidation: malformed hand-built traces must surface as
-// errors from ReplayMulti, never panics — the replay path is fed by
+// errors from the replay, never panics — the replay path is fed by
 // storage that may be corrupt or mismatched.
 func TestReplayMultiValidation(t *testing.T) {
 	w, err := workloads.ByName("crc32")
@@ -211,7 +211,7 @@ func TestReplayMultiValidation(t *testing.T) {
 	// Taken bitset shorter than the instruction count.
 	short := dyntrace.FromColumns(p, sids, good.TakenBits()[:len(good.TakenBits())/2],
 		good.MemAddrs(), good.MemStores(), good.Insts(), good.Halted())
-	if _, err := ReplayMulti(short, cfgs, lim); err == nil || !strings.Contains(err.Error(), "taken bitset") {
+	if _, err := ReplayMultiWorkers(context.Background(), short, cfgs, lim, 1); err == nil || !strings.Contains(err.Error(), "taken bitset") {
 		t.Errorf("short taken bitset: err=%v, want taken-bitset validation error", err)
 	}
 
@@ -220,14 +220,14 @@ func TestReplayMultiValidation(t *testing.T) {
 	bad[len(bad)/2] = 1 << 30
 	ragged := dyntrace.FromColumns(p, bad, good.TakenBits(),
 		good.MemAddrs(), good.MemStores(), good.Insts(), good.Halted())
-	if _, err := ReplayMulti(ragged, cfgs, lim); err == nil || !strings.Contains(err.Error(), "static id") {
+	if _, err := ReplayMultiWorkers(context.Background(), ragged, cfgs, lim, 1); err == nil || !strings.Contains(err.Error(), "static id") {
 		t.Errorf("out-of-range sid: err=%v, want static-id validation error", err)
 	}
 
 	// Fewer packed addresses than the sid stream's memory references.
 	starved := dyntrace.FromColumns(p, sids, good.TakenBits(),
 		good.MemAddrs()[:good.NumMem()/2], good.MemStores(), good.Insts(), good.Halted())
-	if _, err := ReplayMulti(starved, cfgs, lim); err == nil {
+	if _, err := ReplayMultiWorkers(context.Background(), starved, cfgs, lim, 1); err == nil {
 		t.Error("starved address column replayed without error")
 	}
 }

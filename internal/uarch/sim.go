@@ -5,16 +5,14 @@ import (
 
 	"perfclone/internal/bpred"
 	"perfclone/internal/cache"
-	"perfclone/internal/dyntrace"
 	"perfclone/internal/funcsim"
 	"perfclone/internal/isa"
 	"perfclone/internal/prog"
-	"perfclone/internal/supervise"
 )
 
 // streamChunk is the number of TraceInst records fed to the pipeline per
-// consume call. Execution-driven runs and trace replay both use it, so a
-// replayed stream hits the same chunk boundaries — and therefore the same
+// consume call. Every producer the walk drives uses it, so a replayed
+// stream hits the same chunk boundaries — and therefore the same
 // cycle-level behaviour — as the execution that captured it.
 const streamChunk = 1 << 16
 
@@ -86,8 +84,8 @@ type TraceInst struct {
 	Jump   bool
 	// IsMem marks loads and stores (derivable from Class; precomputed so
 	// the fetch hot loop reads one flag instead of comparing classes).
-	// Producers inside this package set it; RunTrace normalizes records
-	// from external generators.
+	// RunLimitsContext and ReplayMultiWorkers set it; RunTrace overwrites
+	// whatever an external generator put there.
 	IsMem bool
 }
 
@@ -164,12 +162,6 @@ type Limits struct {
 	Warmup uint64
 }
 
-// Run executes the program functionally and times it on cfg, up to
-// maxInsts dynamic instructions (0 = to completion), with no warmup.
-func Run(p *prog.Program, cfg Config, maxInsts uint64) (Stats, error) {
-	return RunLimits(p, cfg, Limits{MaxInsts: maxInsts})
-}
-
 // newSim builds a Sim for cfg with empty microarchitectural state.
 func newSim(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
@@ -197,128 +189,85 @@ func newSim(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// finish drains the pipeline and closes out the statistics.
+// finish runs the pipeline until every in-flight instruction commits
+// and closes out the statistics.
 func (s *Sim) finish() Stats {
-	s.drain()
+	s.pump(nil, true)
 	s.st.Cycles = s.cycle - s.measureFrom
-	s.finalizeStats()
+	s.st.L1I = s.l1i.Stats()
+	s.st.L1D = s.l1d.Stats()
+	s.st.L2 = s.l2.Stats()
 	return s.st
 }
 
-// RunLimits executes the program functionally and times it on cfg.
-func RunLimits(p *prog.Program, cfg Config, lim Limits) (Stats, error) {
-	return RunLimitsContext(context.Background(), p, cfg, lim)
-}
-
-// RunLimitsContext is RunLimits with cooperative cancellation: the run
-// polls ctx at every streamChunk boundary (once per 64k instructions) and
-// aborts with the context's cause (context.Cause — so a watchdog's
-// supervise.ErrStuck or a stage deadline's cause survives) once it is
-// cancelled, so a SIGINT drains a grid of timing runs in at most one
-// chunk's worth of work per worker. The same boundary ticks any
-// supervision heartbeat carried by ctx.
+// RunLimitsContext executes the program functionally and times it on
+// cfg. It is the execution-driven reference the replay path is checked
+// against (TestReplayGoldenUarch), so it builds its TraceInst records
+// straight from the functional simulator's events rather than through a
+// captured trace. The run polls ctx at every streamChunk boundary (once
+// per 64k instructions) and aborts with the context's cause once it is
+// cancelled; the same boundary ticks any supervision heartbeat carried by
+// ctx.
 func RunLimitsContext(ctx context.Context, p *prog.Program, cfg Config, lim Limits) (Stats, error) {
-	s, err := newSim(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	tick := supervise.TickerFrom(ctx)
-
 	// The functional front end produces the dynamic stream; the timing
 	// back end consumes it in chunks (trace-driven timing over the
 	// correct path, as in sim-outorder's in-order functional core).
-	trace := make([]TraceInst, 0, streamChunk)
-	var srcBuf [2]isa.Reg
-	obs := func(ev *funcsim.Event) error {
-		in := ev.Inst
-		ti := TraceInst{
-			PC:    ev.PC,
-			Addr:  ev.Addr,
-			Class: in.Op.Class(),
-			Dest:  in.Dest(),
-			Taken: ev.Taken,
-		}
-		ti.Branch = in.Op.IsBranch()
-		ti.Jump = in.Op == isa.OpJmp
-		ti.IsMem = ti.Class == isa.ClassLoad || ti.Class == isa.ClassStore
-		srcs := in.Sources(srcBuf[:0])
-		ti.Src1, ti.Src2 = isa.NoReg, isa.NoReg
-		if len(srcs) > 0 {
-			ti.Src1 = srcs[0]
-		}
-		if len(srcs) > 1 {
-			ti.Src2 = srcs[1]
-		}
-		trace = append(trace, ti)
-		if len(trace) == cap(trace) {
-			if err := supervise.Cause(ctx); err != nil {
-				return err
+	st, err := walk(ctx, []Config{cfg}, lim, 1, perRecord(func(put func(TraceInst) error) error {
+		var srcBuf [2]isa.Reg
+		obs := func(ev *funcsim.Event) error {
+			in := ev.Inst
+			ti := TraceInst{
+				PC:    ev.PC,
+				Addr:  ev.Addr,
+				Class: in.Op.Class(),
+				Dest:  in.Dest(),
+				Taken: ev.Taken,
 			}
-			if tick != nil {
-				tick()
+			ti.Branch = in.Op.IsBranch()
+			ti.Jump = in.Op == isa.OpJmp
+			ti.IsMem = ti.Class == isa.ClassLoad || ti.Class == isa.ClassStore
+			srcs := in.Sources(srcBuf[:0])
+			ti.Src1, ti.Src2 = isa.NoReg, isa.NoReg
+			if len(srcs) > 0 {
+				ti.Src1 = srcs[0]
 			}
-			s.consume(trace)
-			trace = trace[:0]
+			if len(srcs) > 1 {
+				ti.Src2 = srcs[1]
+			}
+			return put(ti)
 		}
-		return nil
-	}
-	s.warmup = lim.Warmup
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: lim.MaxInsts}, obs); err != nil {
-		return Stats{}, err
-	}
-	s.consume(trace)
-	return s.finish(), nil
-}
-
-// Replay times a previously captured dynamic trace on cfg, producing
-// statistics bit-identical to RunLimits on the traced program (it feeds
-// the same stream through the same pipeline with the same streamChunk
-// boundaries) without re-running the functional simulator. The trace is
-// read-only here, so many Replay calls can share one trace concurrently —
-// this is what lets the evaluation pipeline execute each program once and
-// sweep every cache configuration and design change by replay.
-func Replay(t *dyntrace.Trace, cfg Config, lim Limits) (Stats, error) {
-	return ReplayContext(context.Background(), t, cfg, lim)
-}
-
-// ReplayContext is Replay with cooperative cancellation, polling ctx at
-// every streamChunk boundary (including before the final partial chunk)
-// like RunLimitsContext. Cancellation does not affect determinism: a run
-// either completes with the exact Replay result or returns the context's
-// cancellation cause with zero Stats.
-func ReplayContext(ctx context.Context, t *dyntrace.Trace, cfg Config, lim Limits) (Stats, error) {
-	res, err := ReplayMultiContext(ctx, t, []Config{cfg}, lim)
+		_, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: lim.MaxInsts}, obs)
+		return err
+	}))
 	if err != nil {
 		return Stats{}, err
 	}
-	return res[0], nil
+	return st[0], nil
 }
 
 // RunTrace times a synthetic instruction stream instead of a program: gen
 // is called with i = 0..n-1 and must return the i'th trace record. This is
 // the entry point statistical simulation (internal/statsim) uses — no
-// functional execution is involved.
-func RunTrace(cfg Config, lim Limits, n uint64, gen func(i uint64) TraceInst) (Stats, error) {
-	s, err := newSim(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	s.warmup = lim.Warmup
+// functional execution is involved. Cancellation works as in
+// RunLimitsContext.
+func RunTrace(ctx context.Context, cfg Config, lim Limits, n uint64, gen func(i uint64) TraceInst) (Stats, error) {
 	if lim.MaxInsts > 0 && n > lim.MaxInsts {
 		n = lim.MaxInsts
 	}
-	chunk := make([]TraceInst, 0, streamChunk)
-	for i := uint64(0); i < n; i++ {
-		ti := gen(i)
-		ti.IsMem = ti.Class == isa.ClassLoad || ti.Class == isa.ClassStore
-		chunk = append(chunk, ti)
-		if len(chunk) == cap(chunk) {
-			s.consume(chunk)
-			chunk = chunk[:0]
+	st, err := walk(ctx, []Config{cfg}, lim, 1, perRecord(func(put func(TraceInst) error) error {
+		for i := uint64(0); i < n; i++ {
+			ti := gen(i)
+			ti.IsMem = ti.Class == isa.ClassLoad || ti.Class == isa.ClassStore
+			if err := put(ti); err != nil {
+				return err
+			}
 		}
+		return nil
+	}))
+	if err != nil {
+		return Stats{}, err
 	}
-	s.consume(chunk)
-	return s.finish(), nil
+	return st[0], nil
 }
 
 // resetForMeasurement zeroes statistics at the warmup boundary while
@@ -337,11 +286,6 @@ func (s *Sim) resetForMeasurement() {
 // consume feeds a chunk of the dynamic stream through the pipeline.
 func (s *Sim) consume(trace []TraceInst) {
 	s.pump(trace, false)
-}
-
-// drain runs the pipeline until every in-flight instruction commits.
-func (s *Sim) drain() {
-	s.pump(nil, true)
 }
 
 // pump is the pipeline's cycle loop. Each iteration is one cycle: retire
@@ -867,11 +811,4 @@ func (s *Sim) dcacheAccess(addr uint64, write bool) int {
 		return s.cfg.L1Lat + s.cfg.L2Lat
 	}
 	return s.cfg.L1Lat + s.cfg.L2Lat + s.cfg.MemLat
-}
-
-// finalizeStats collects cache stats into the result.
-func (s *Sim) finalizeStats() {
-	s.st.L1I = s.l1i.Stats()
-	s.st.L1D = s.l1d.Stats()
-	s.st.L2 = s.l2.Stats()
 }

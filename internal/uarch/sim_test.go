@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"context"
 	"testing"
 
 	"perfclone/internal/isa"
@@ -84,7 +85,7 @@ func bigStride(t *testing.T, n int) *prog.Program {
 
 func mustRun(t *testing.T, p *prog.Program, cfg Config) Stats {
 	t.Helper()
-	st, err := Run(p, cfg, 0)
+	st, err := RunLimitsContext(context.Background(), p, cfg, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +220,11 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestWarmupExcludesStartup(t *testing.T) {
 	p := bigStride(t, 4000)
-	full, err := RunLimits(p, BaseConfig(), Limits{MaxInsts: 8000})
+	full, err := RunLimitsContext(context.Background(), p, BaseConfig(), Limits{MaxInsts: 8000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunLimits(p, BaseConfig(), Limits{MaxInsts: 8000, Warmup: 4000})
+	warm, err := RunLimitsContext(context.Background(), p, BaseConfig(), Limits{MaxInsts: 8000, Warmup: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestWarmupExcludesStartup(t *testing.T) {
 
 func TestMaxInstsBound(t *testing.T) {
 	p := independentALU(t, 100000)
-	st, err := Run(p, BaseConfig(), 5000)
+	st, err := RunLimitsContext(context.Background(), p, BaseConfig(), Limits{MaxInsts: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
