@@ -218,7 +218,7 @@ func BenchmarkAblationContext(b *testing.B) {
 				b.Fatal(err)
 			}
 			p := w.Build()
-			prof, err := profile.Collect(p, profile.Options{MaxInsts: 400_000, PerBlockNodes: perBlock})
+			prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 400_000, PerBlockNodes: perBlock})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -261,7 +261,7 @@ func BenchmarkAblationBranchModel(b *testing.B) {
 				b.Fatal(err)
 			}
 			p := w.Build()
-			prof, err := profile.Collect(p, profile.Options{MaxInsts: 400_000})
+			prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 400_000})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -300,7 +300,7 @@ func BenchmarkBaselineTraining(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := w.Build()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 300_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 300_000})
 	if err != nil {
 		b.Fatal(err)
 	}

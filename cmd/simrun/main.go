@@ -77,7 +77,7 @@ func run(name, file string, useClone, useStatsim bool, cfgName string, insts, wa
 		p = w.Build()
 	}
 	if useClone {
-		prof, err := profile.Collect(p, profile.Options{MaxInsts: 1_000_000})
+		prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 1_000_000})
 		if err != nil {
 			return err
 		}
@@ -89,7 +89,7 @@ func run(name, file string, useClone, useStatsim bool, cfgName string, insts, wa
 	}
 	var st uarch.Stats
 	if useStatsim {
-		prof, err := profile.Collect(p, profile.Options{MaxInsts: 1_000_000})
+		prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 1_000_000})
 		if err != nil {
 			return err
 		}

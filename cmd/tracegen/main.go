@@ -16,6 +16,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -103,7 +104,7 @@ func run(name, profIn string, n int, replay string, workers int, storeDir string
 			}
 		}
 		if prof == nil {
-			prof, err = profile.Collect(p, profile.Options{MaxInsts: profileInsts})
+			prof, err = profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: profileInsts})
 			if err != nil {
 				return err
 			}

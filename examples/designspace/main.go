@@ -40,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 	app := w.Build()
-	prof, err := profile.Collect(app, profile.Options{MaxInsts: 1_000_000})
+	prof, err := profile.CollectContext(context.Background(), app, profile.Options{MaxInsts: 1_000_000})
 	if err != nil {
 		log.Fatal(err)
 	}

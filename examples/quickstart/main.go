@@ -34,7 +34,7 @@ func main() {
 
 	// 2. Profile its microarchitecture-independent characteristics
 	//    (instruction mix, SFG, strides, branch transition rates).
-	prof, err := profile.Collect(app, profile.Options{MaxInsts: 1_000_000})
+	prof, err := profile.CollectContext(context.Background(), app, profile.Options{MaxInsts: 1_000_000})
 	if err != nil {
 		log.Fatal(err)
 	}

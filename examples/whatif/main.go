@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 1_000_000})
+	prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 1_000_000})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,7 +18,7 @@ func prep(t *testing.T, name string) (*profile.Profile, TrainingConfig, *synth.C
 		t.Fatal(err)
 	}
 	p := w.Build()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 300_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestRewriteProfileReplacesModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 200_000})
+	prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestBaselineDriftsOffTrainingPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := w.Build()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 300_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func cloneOf(t *testing.T, name string) *synth.Clone {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 200_000})
+	prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func cloneIPCWithSeed(opts Options, seed uint64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: opts.ProfileInsts})
+	prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: opts.ProfileInsts})
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package fidelity
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,11 +22,11 @@ import (
 // tolerances, and returns the (passing) report.
 func gateEdge(t *testing.T, p *prog.Program) *Report {
 	t.Helper()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 200_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, rep, err := Generate(prof, synth.Config{}, Options{})
+	clone, rep, err := GenerateContext(context.Background(), prof, synth.Config{}, Options{})
 	if err != nil {
 		t.Fatalf("gate failed:\n%v", err)
 	}

@@ -53,3 +53,29 @@ func BenchmarkFunctionalSimulationWithObserver(b *testing.B) {
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
+
+// BenchmarkRunBatch measures the batched event stream with a no-op
+// observer: the cost of executing and materializing every Event, which is
+// the floor any batch consumer (the profiler, trace capture) runs above.
+func BenchmarkRunBatch(b *testing.B) {
+	w, err := workloads.ByName("crc32")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := w.Build()
+	nop := func([]funcsim.Event) error { return nil }
+	b.ResetTimer()
+	var insts uint64
+	for i := 0; i < b.N; i++ {
+		m, err := funcsim.New(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := m.RunBatch(funcsim.Limits{}, nop)
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts += res.Insts
+	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
+}

@@ -171,16 +171,19 @@ func (m *Machine) Run(lim Limits, obs Observer) (Result, error) {
 // instruction.
 func (m *Machine) RunBatch(lim Limits, obs BatchObserver) (Result, error) {
 	var res Result
+	// Events are written field by field into the reused chunk; n is the
+	// number of slots filled since the last flush.
 	var buf []Event
+	n := 0
 	if obs != nil {
-		buf = make([]Event, 0, EventChunk)
+		buf = make([]Event, EventChunk)
 	}
 	flush := func() error {
-		if len(buf) == 0 {
+		if n == 0 {
 			return nil
 		}
-		err := obs(buf)
-		buf = buf[:0]
+		err := obs(buf[:n])
+		n = 0
 		return err
 	}
 	bi := m.prog.Entry
@@ -203,21 +206,19 @@ func (m *Machine) RunBatch(lim Limits, obs BatchObserver) (Result, error) {
 				next = nb
 			}
 			if obs != nil {
-				nextBlock := next
+				ev := &buf[n]
+				ev.Seq = res.Insts
+				ev.Block = bi
+				ev.Index = ii
+				ev.PC = m.prog.InstAddr(bi, ii)
+				ev.Inst = in
+				ev.Addr = addr
+				ev.Taken = taken
+				ev.NextBlock = next
 				if in.Op == isa.OpHalt {
-					nextBlock = -1
+					ev.NextBlock = -1
 				}
-				buf = append(buf, Event{
-					Seq:       res.Insts,
-					Block:     bi,
-					Index:     ii,
-					PC:        m.prog.InstAddr(bi, ii),
-					Inst:      in,
-					Addr:      addr,
-					Taken:     taken,
-					NextBlock: nextBlock,
-				})
-				if len(buf) == cap(buf) {
+				if n++; n == len(buf) {
 					if err := flush(); err != nil {
 						return res, err
 					}

@@ -7,12 +7,13 @@ import (
 
 // Validate sanitizes a profile at the trust boundary: a profile loaded
 // from disk (or handed to the generator by any caller) is checked for the
-// structural and numerical invariants Collect guarantees, so a corrupt or
-// adversarial file is rejected with an error here instead of panicking —
-// or silently emitting a wrong clone — deep inside synth.Generate.
+// structural and numerical invariants CollectContext guarantees, so a
+// corrupt or adversarial file is rejected with an error here instead of
+// panicking — or silently emitting a wrong clone — deep inside
+// synth.Generate.
 //
-// Collect-produced profiles always pass (pinned by tests); everything
-// else must earn its way in.
+// CollectContext-produced profiles always pass (pinned by tests);
+// everything else must earn its way in.
 func (p *Profile) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("profile: missing name")
@@ -21,11 +22,19 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("profile %q: no SFG nodes", p.Name)
 	}
 	// Block ids that exist as SFG nodes; successor edges must land here.
+	// Keys and refs must be unique: Load rebuilds the lookup maps from
+	// the lists, and a duplicate would leave a list entry the map (and
+	// so the generator's lookups) never sees.
 	blocks := make(map[int]bool, len(p.NodeList))
+	keys := make(map[NodeKey]bool, len(p.NodeList))
 	for _, n := range p.NodeList {
 		if n == nil {
 			return fmt.Errorf("profile %q: nil SFG node", p.Name)
 		}
+		if keys[n.Key] {
+			return fmt.Errorf("profile %q: duplicate SFG node %v", p.Name, n.Key)
+		}
+		keys[n.Key] = true
 		blocks[n.Key.Block] = true
 	}
 	for _, n := range p.NodeList {
@@ -51,10 +60,15 @@ func (p *Profile) Validate() error {
 			}
 		}
 	}
+	refs := make(map[StaticRef]bool, len(p.MemList))
 	for _, m := range p.MemList {
 		if m == nil {
 			return fmt.Errorf("profile %q: nil mem stat", p.Name)
 		}
+		if refs[m.Ref] {
+			return fmt.Errorf("profile %q: duplicate mem op %v", p.Name, m.Ref)
+		}
+		refs[m.Ref] = true
 		if m.Ref.Block < 0 || m.Ref.Index < 0 {
 			return fmt.Errorf("profile %q: mem op has invalid ref %v", p.Name, m.Ref)
 		}
@@ -74,10 +88,15 @@ func (p *Profile) Validate() error {
 			return fmt.Errorf("profile %q: mem op %v has invalid mean stream length %v", p.Name, m.Ref, m.MeanStreamLen)
 		}
 	}
+	clear(refs)
 	for _, b := range p.BranchList {
 		if b == nil {
 			return fmt.Errorf("profile %q: nil branch stat", p.Name)
 		}
+		if refs[b.Ref] {
+			return fmt.Errorf("profile %q: duplicate branch %v", p.Name, b.Ref)
+		}
+		refs[b.Ref] = true
 		if b.Ref.Block < 0 || b.Ref.Index < 0 {
 			return fmt.Errorf("profile %q: branch has invalid ref %v", p.Name, b.Ref)
 		}

@@ -2,7 +2,10 @@ package profile
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -17,7 +20,7 @@ func collectSmall(t *testing.T, name string, insts uint64) *Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Collect(w.Build(), Options{MaxInsts: insts})
+	p, err := CollectContext(context.Background(), w.Build(), Options{MaxInsts: insts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +28,8 @@ func collectSmall(t *testing.T, name string, insts uint64) *Profile {
 }
 
 // TestCollectedProfilesValidate pins the contract that every profile
-// Collect produces passes Validate — including profiles truncated at odd
-// instruction budgets, where the final recorded SFG edge can point at a
+// CollectContext produces passes Validate — including profiles truncated
+// at odd instruction budgets, where the final recorded SFG edge can point at a
 // block that never executed (finalize prunes it).
 func TestCollectedProfilesValidate(t *testing.T) {
 	for _, w := range workloads.All() {
@@ -34,7 +37,7 @@ func TestCollectedProfilesValidate(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, budget := range []uint64{50_000, 777} {
-				p, err := Collect(w.Build(), Options{MaxInsts: budget})
+				p, err := CollectContext(context.Background(), w.Build(), Options{MaxInsts: budget})
 				if err != nil {
 					t.Fatalf("collect @%d: %v", budget, err)
 				}
@@ -158,6 +161,31 @@ func TestLoadRejectsCorruptValues(t *testing.T) {
 	}
 	if _, err := Load(&buf); err != nil {
 		t.Fatalf("pristine profile rejected: %v", err)
+	}
+}
+
+// TestLoadRejectsDuplicateEntries: Load rebuilds the Nodes, Mem and
+// Branches maps from the lists, so a list holding one key twice would
+// leave the map with only the last copy — synth would read one node
+// while walking two. A checksummed envelope (the CRC is right; the
+// content is wrong) holding a duplicate must fail to load.
+func TestLoadRejectsDuplicateEntries(t *testing.T) {
+	base := collectSmall(t, "crc32", 50_000)
+	for _, list := range []string{"nodes", "mem", "branches"} {
+		t.Run(list, func(t *testing.T) {
+			body := mutateJSON(t, base, func(doc map[string]any) {
+				entries := doc[list].([]any)
+				doc[list] = append(entries, entries[0])
+			})
+			env := fmt.Sprintf("{\"crc32\":%d,\"profile\":%s}\n", crc32.ChecksumIEEE(body), body)
+			_, err := Load(strings.NewReader(env))
+			if err == nil {
+				t.Fatalf("profile with a duplicated %s entry loaded without error", list)
+			}
+			if !strings.Contains(err.Error(), "duplicate") {
+				t.Errorf("error %q does not mention a duplicate", err)
+			}
+		})
 	}
 }
 

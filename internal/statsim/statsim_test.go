@@ -20,7 +20,7 @@ func setup(t *testing.T, name string) (*profile.Profile, Rates, uarch.Config) {
 	}
 	p := w.Build()
 	cfg := uarch.BaseConfig()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 300_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestStatisticalSimulationIsMicroarchDependent(t *testing.T) {
 	w, _ := workloads.ByName("basicmath")
 	p := w.Build()
 	base := uarch.BaseConfig()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 300_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -98,7 +99,7 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 	p := w.Build()
 	hash := ProgramHash(p)
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 10_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}

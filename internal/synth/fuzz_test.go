@@ -2,6 +2,7 @@ package synth
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -150,7 +151,7 @@ func FuzzGenerate(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		p, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 50_000})
+		p, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 50_000})
 		if err != nil {
 			f.Fatal(err)
 		}

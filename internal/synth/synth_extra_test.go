@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestCloneStrideFidelity(t *testing.T) {
 	// each unrolled instance steps by the stride, the pointer by
 	// instances × stride, so per-static-op dominant strides stay small
 	// and positive for the byte pool.
-	cloneProf, err := profile.Collect(clone.Program, profile.Options{MaxInsts: 400_000})
+	cloneProf, err := profile.CollectContext(context.Background(), clone.Program, profile.Options{MaxInsts: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestCloneLoopBodyFitsL1I(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 300_000})
+			prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 300_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +194,7 @@ func TestDepDistanceRealization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloneProf, err := profile.Collect(clone.Program, profile.Options{MaxInsts: 400_000})
+	cloneProf, err := profile.CollectContext(context.Background(), clone.Program, profile.Options{MaxInsts: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestCloneOfCloneIsStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := profile.Collect(c1.Program, profile.Options{MaxInsts: 400_000})
+	p1, err := profile.CollectContext(context.Background(), c1.Program, profile.Options{MaxInsts: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestCloneOfCloneIsStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := profile.Collect(c2.Program, profile.Options{MaxInsts: 400_000})
+	p2, err := profile.CollectContext(context.Background(), c2.Program, profile.Options{MaxInsts: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestGenerateFromHandMadeProfile(t *testing.T) {
 	b.Bne(isa.IntReg(2), isa.RZero, "loop")
 	b.Label("end")
 	b.Halt()
-	prof, err := profile.Collect(b.MustBuild(), profile.Options{})
+	prof, err := profile.CollectContext(context.Background(), b.MustBuild(), profile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

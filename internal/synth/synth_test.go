@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,7 +18,7 @@ func collect(t *testing.T, name string) *profile.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 400_000})
+	p, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestCloneRunsToCompletion(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 300_000})
+			prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 300_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +74,7 @@ func TestCloneMatchesInstructionMix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cloneProf, err := profile.Collect(clone.Program, profile.Options{MaxInsts: 400_000})
+			cloneProf, err := profile.CollectContext(context.Background(), clone.Program, profile.Options{MaxInsts: 400_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +101,7 @@ func TestCloneMatchesBranchBehavior(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cloneProf, err := profile.Collect(clone.Program, profile.Options{MaxInsts: 400_000})
+			cloneProf, err := profile.CollectContext(context.Background(), clone.Program, profile.Options{MaxInsts: 400_000})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"testing"
 
 	"perfclone/internal/cache"
@@ -14,7 +15,7 @@ func profileOf(t *testing.T, name string) *profile.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 200_000})
+	p, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
