@@ -39,7 +39,7 @@ func benchOpts() experiments.Options {
 
 func preparePairs(b *testing.B) []*experiments.Pair {
 	b.Helper()
-	pairs, err := experiments.Prepare(benchOpts())
+	pairs, err := experiments.PrepareContext(context.Background(), benchOpts())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func BenchmarkFig8and9DoubleWidth(b *testing.B) {
 func BenchmarkAblationBaseline(b *testing.B) {
 	opts := benchOpts()
 	opts.Workloads = []string{"crc32", "gsm"}
-	pairs, err := experiments.Prepare(opts)
+	pairs, err := experiments.PrepareContext(context.Background(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}

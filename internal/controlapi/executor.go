@@ -2,7 +2,7 @@ package controlapi
 
 // The executor side of the control plane: workers claim jobs and drive
 // the in-process stage drivers, then commit the rendered artifact with
-// the store's fsync-then-rename protocol. The ordering is the heart of
+// durable.AtomicWrite (fsync, then rename). The ordering is the heart of
 // the exactly-once argument: the artifact becomes durable *before* the
 // terminal WAL record, execution is deterministic, and the commit is an
 // atomic rename — so a crash anywhere between claim and terminal record
@@ -11,12 +11,12 @@ package controlapi
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
-	"syscall"
 
 	"perfclone/internal/codegen"
+	"perfclone/internal/durable"
 	"perfclone/internal/dyntrace"
 	"perfclone/internal/experiments"
 	"perfclone/internal/faultinject"
@@ -85,52 +85,24 @@ func (s *Server) artifactPath(name string) string {
 	return filepath.Join(s.cfg.DataDir, "artifacts", name)
 }
 
-// commitArtifact makes the job output durable: temp file, fsync, atomic
-// rename, directory fsync — the store's write protocol, through the
-// same faultinject seam so chaos tests can tear it.
+// commitArtifact makes the job output durable with durable.AtomicWrite,
+// through the daemon's faultinject seam so chaos tests can tear it. A
+// directory fsync that fails leaves the rename possibly not durable, so
+// the commit fails (a transient error redoes it): the terminal WAL
+// record must not outlive the artifact.
 func (s *Server) commitArtifact(name string, data []byte) error {
 	dir := filepath.Join(s.cfg.DataDir, "artifacts")
 	if err := faultinject.Retry(s.cfg.Retry, func() error { return s.fs.MkdirAll(dir, 0o755) }); err != nil {
 		return fmt.Errorf("controlapi: %w", err)
 	}
-	path := filepath.Join(dir, name)
-	return faultinject.Retry(s.cfg.Retry, func() error {
-		tmp, err := s.fs.CreateTemp(dir, name+".tmp*")
-		if err != nil {
-			return fmt.Errorf("controlapi: %w", err)
-		}
-		tmpName := tmp.Name()
-		defer func() { _ = s.fs.Remove(tmpName) }() // no-op once renamed
-		if _, err := tmp.Write(data); err != nil {
-			tmp.Close()
-			return fmt.Errorf("controlapi: write %s: %w", path, err)
-		}
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return fmt.Errorf("controlapi: sync %s: %w", path, err)
-		}
-		if err := tmp.Close(); err != nil {
-			return fmt.Errorf("controlapi: write %s: %w", path, err)
-		}
-		if err := s.fs.Rename(tmpName, path); err != nil {
-			return fmt.Errorf("controlapi: %w", err)
-		}
-		d, err := s.fs.Open(dir)
-		if err != nil {
-			return fmt.Errorf("controlapi: sync %s: %w", dir, err)
-		}
-		serr := d.Sync()
-		cerr := d.Close()
-		// As in store.syncDir, only a filesystem that cannot sync a
-		// directory at all is tolerated. Any other failure leaves the
-		// rename possibly not durable, and the terminal WAL record must
-		// not outlive the artifact, so the commit fails (a transient
-		// error redoes it under Retry).
-		if serr != nil && !errors.Is(serr, syscall.EINVAL) && !errors.Is(serr, syscall.ENOTSUP) {
-			return fmt.Errorf("controlapi: sync %s: %w", dir, serr)
-		}
-		return cerr
+	err := durable.AtomicWrite(s.fs, s.cfg.Retry, filepath.Join(dir, name), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
 	})
+	if err != nil {
+		return fmt.Errorf("controlapi: %w", err)
+	}
+	return nil
 }
 
 // execute renders one job's artifact bytes. Everything here is

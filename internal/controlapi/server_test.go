@@ -503,10 +503,10 @@ func TestArtifactDirSyncFailureRetriesOrFails(t *testing.T) {
 	noSleep := faultinject.RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}}
 	spec := jobqueue.Spec{Kind: jobqueue.KindProfile, Workload: "crc32", Insts: 50_000}
 	for _, tc := range []struct {
-		name     string
-		fails    int64
-		want     jobqueue.State
-		minSyncs int64
+		name      string
+		fails     int64
+		want      jobqueue.State
+		wantSyncs int64
 	}{
 		{"fails-once", 1, jobqueue.StateDone, 2},
 		{"always-fails", -1, jobqueue.StateFailed, int64(noSleep.Attempts)},
@@ -523,8 +523,8 @@ func TestArtifactDirSyncFailureRetriesOrFails(t *testing.T) {
 			if j.State != tc.want {
 				t.Fatalf("job state %s (error %q), want %s", j.State, j.Error, tc.want)
 			}
-			if n := fsys.syncs.Load(); n < tc.minSyncs {
-				t.Fatalf("artifacts directory synced %d times, want at least %d", n, tc.minSyncs)
+			if n := fsys.syncs.Load(); n != tc.wantSyncs {
+				t.Fatalf("artifacts directory synced %d times, want exactly %d", n, tc.wantSyncs)
 			}
 			if tc.want == jobqueue.StateDone {
 				fetchArtifact(t, ts, job.ID)

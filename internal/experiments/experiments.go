@@ -200,13 +200,8 @@ func runTimedMulti(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfgs
 	return uarch.ReplayMultiWorkers(ctx, t, cfgs, lim, workers)
 }
 
-// Prepare profiles each selected workload, generates its clone, and
-// captures both programs' dynamic traces for replay.
-func Prepare(opts Options) ([]*Pair, error) {
-	return PrepareContext(context.Background(), opts)
-}
-
-// PrepareContext is Prepare with cancellation and store reuse: when
+// PrepareContext profiles each selected workload, generates its clone,
+// and captures both programs' dynamic traces for replay. When
 // opts.Store is set, each workload's profile and both dynamic traces are
 // looked up by (name, program hash, budget) before anything executes, and
 // captured artifacts are written back, so a later run — or a crashed

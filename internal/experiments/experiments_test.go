@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func smallOpts() Options {
 
 func preparePairs(t *testing.T) []*Pair {
 	t.Helper()
-	pairs, err := Prepare(smallOpts())
+	pairs, err := PrepareContext(context.Background(), smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestPrepare(t *testing.T) {
 			t.Errorf("%s: no clone", pr.Name)
 		}
 	}
-	if _, err := Prepare(Options{Workloads: []string{"nope"}}); err == nil {
+	if _, err := PrepareContext(context.Background(), Options{Workloads: []string{"nope"}}); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
@@ -195,7 +196,7 @@ func TestReportPrinters(t *testing.T) {
 func TestAblationSmoke(t *testing.T) {
 	opts := smallOpts()
 	opts.Workloads = []string{"crc32"}
-	pairs, err := Prepare(opts)
+	pairs, err := PrepareContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestHeadlineFidelity(t *testing.T) {
 		TimingInsts:  400_000,
 		Parallel:     true,
 	}
-	pairs, err := Prepare(opts)
+	pairs, err := PrepareContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,7 @@ import (
 
 func TestFidelityGatePasses(t *testing.T) {
 	var log bytes.Buffer
-	pairs, err := Prepare(Options{
+	pairs, err := PrepareContext(context.Background(), Options{
 		Workloads:    []string{"crc32"},
 		ProfileInsts: 300_000,
 		Fidelity:     true,
@@ -33,7 +34,7 @@ func TestFidelityGatePasses(t *testing.T) {
 
 func TestFidelityGateDegrades(t *testing.T) {
 	var log bytes.Buffer
-	pairs, err := Prepare(Options{
+	pairs, err := PrepareContext(context.Background(), Options{
 		Workloads:         []string{"crc32"},
 		ProfileInsts:      300_000,
 		Fidelity:          true,
@@ -57,7 +58,7 @@ func TestFidelityGateDegrades(t *testing.T) {
 
 func TestStrictFidelityAborts(t *testing.T) {
 	var log bytes.Buffer
-	_, err := Prepare(Options{
+	_, err := PrepareContext(context.Background(), Options{
 		Workloads:         []string{"crc32"},
 		ProfileInsts:      300_000,
 		StrictFidelity:    true,

@@ -171,7 +171,7 @@ func TestParallelGridRace(t *testing.T) {
 	opts := smallOpts()
 	opts.Parallel = true
 	opts.Workers = 8
-	pairs, err := Prepare(opts)
+	pairs, err := PrepareContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestParallelGridRace(t *testing.T) {
 func TestTraceFallbackMatchesPrepared(t *testing.T) {
 	opts := smallOpts()
 	opts.Workloads = []string{"crc32", "qsort"}
-	prepared, err := Prepare(opts)
+	prepared, err := PrepareContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

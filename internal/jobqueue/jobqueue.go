@@ -3,17 +3,17 @@
 // whose every state transition is journaled to an append-only WAL
 // before the caller sees it.
 //
-// The WAL reuses the store's checkpoint-v2 conventions — one JSON
-// record per line, a per-record IEEE CRC-32 over identity+payload, torn
-// or bit-flipped lines dropped individually on replay — so a `kill -9`
-// at any byte offset restarts into a consistent queue: the last valid
-// record per job wins, and a job that was running when the process died
-// is downgraded to pending and re-executed. Records for accepted and
-// terminal jobs are fsynced before the transition is acknowledged
-// (submission survives the ack; a done job can never un-finish), while
-// the pending→running record is only buffered — losing it merely
-// re-runs the job, which is safe because execution is deterministic and
-// artifact commits are atomic renames.
+// The WAL is a durable.Log — one JSON record per line, a per-record
+// durable.CRC over identity+payload, torn or bit-flipped lines dropped
+// individually on replay — so a `kill -9` at any byte offset restarts
+// into a consistent queue: the last valid record per job wins, and a
+// job that was running when the process died is downgraded to pending
+// and re-executed. Records for accepted and terminal jobs are fsynced
+// before the transition is acknowledged (submission survives the ack; a
+// done job can never un-finish), while the pending→running record is
+// only buffered — losing it merely re-runs the job, which is safe
+// because execution is deterministic and artifact commits are
+// durable.AtomicWrite renames.
 //
 // Admission control keeps the queue bounded under overload: a per-tenant
 // quota on live (non-terminal) jobs plus a per-tenant token bucket on
@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"perfclone/internal/durable"
 	"perfclone/internal/faultinject"
 )
 
@@ -157,8 +158,7 @@ type Queue struct {
 	adm   *admission
 
 	mu       sync.Mutex
-	f        faultinject.File
-	dirty    bool // last append may have left a partial line
+	wal      *durable.Log
 	jobs     map[string]*Job
 	progress map[string]Progress
 	nextSeq  uint64
@@ -193,41 +193,33 @@ func Open(path string, opts Options) (*Queue, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("jobqueue: %w", err)
 	}
-	if err := q.replay(); err != nil {
+	torn, err := q.replay()
+	if err != nil {
 		return nil, err
 	}
-	var f faultinject.File
-	err := faultinject.Retry(q.retry, func() error {
-		var err error
-		f, err = q.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		return err
-	})
-	if err != nil {
+	if q.wal, err = durable.OpenLog(q.fs, q.retry, path, false, torn); err != nil {
 		return nil, fmt.Errorf("jobqueue: open %s: %w", path, err)
 	}
-	q.f = f
 	// Make the file's existence itself durable, so an accepted job can
 	// never vanish with its directory entry.
-	if err := q.syncDir(filepath.Dir(path)); err != nil {
-		f.Close()
-		return nil, err
+	if err := durable.SyncDir(q.fs, filepath.Dir(path)); err != nil {
+		q.wal.Close()
+		return nil, fmt.Errorf("jobqueue: %w", err)
 	}
 	return q, nil
 }
 
 // replay loads the WAL into memory: last valid record per job wins,
-// running jobs rewind to pending.
-func (q *Queue) replay() error {
-	jobs, dropped, tornTail, err := scanWAL(q.fs, q.retry, q.path)
+// running jobs rewind to pending. torn reports that a crash tore the
+// final append.
+func (q *Queue) replay() (torn bool, err error) {
+	jobs, dropped, torn, err := scanWAL(q.fs, q.retry, q.path)
 	if errors.Is(err, iofs.ErrNotExist) {
-		return nil
+		return false, nil
 	}
 	if err != nil {
-		return err
+		return false, err
 	}
-	// A crash tore the final append: the next append leads with a
-	// newline so the torn bytes stay on their own (droppable) line.
-	q.dirty = tornTail
 	if dropped > 0 {
 		fmt.Fprintf(q.log, "jobqueue: dropped %d torn or corrupt WAL line(s); affected transitions replay from their last valid record\n", dropped)
 	}
@@ -245,7 +237,7 @@ func (q *Queue) replay() error {
 				j.ID, j.Spec.Kind, j.Attempts+1)
 		}
 	}
-	return nil
+	return torn, nil
 }
 
 // Submit validates, admits, journals (fsynced), and enqueues one job.
@@ -454,11 +446,11 @@ func (q *Queue) Drain() {
 func (q *Queue) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if err := q.f.Sync(); err != nil {
-		q.f.Close()
+	if err := q.wal.Sync(); err != nil {
+		q.wal.Close()
 		return fmt.Errorf("jobqueue: %w", err)
 	}
-	if err := q.f.Close(); err != nil {
+	if err := q.wal.Close(); err != nil {
 		return fmt.Errorf("jobqueue: %w", err)
 	}
 	return nil

@@ -1,18 +1,15 @@
 package jobqueue
 
-// The WAL format, mirroring the store's checkpoint-v2 conventions: one
-// JSON record per line, CRC-32 (IEEE) over op+payload, torn tails
-// dropped line by line on replay.
+// The WAL format: a durable.Log of JSON records, one per line, each
+// carrying a durable.CRC over op+payload; torn or corrupt lines are
+// dropped one by one on replay.
 
 import (
-	"bufio"
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"syscall"
 
+	"perfclone/internal/durable"
 	"perfclone/internal/faultinject"
 )
 
@@ -31,73 +28,25 @@ type walRecord struct {
 	Data json.RawMessage `json:"data"`
 }
 
-// recordCRC is the integrity checksum over one record's identity+payload.
-func recordCRC(op string, data []byte) uint32 {
-	h := crc32.NewIEEE()
-	io.WriteString(h, op)
-	h.Write(data)
-	return h.Sum32()
-}
-
 // appendLocked journals one job snapshot; callers hold q.mu. With sync
 // set the record is fsynced before returning — the durability barrier
-// for submissions and terminal transitions. If a failed attempt may
-// have torn mid-line, the next append leads with a newline so the torn
-// bytes isolate to their own (droppable) line.
+// for submissions and terminal transitions.
 func (q *Queue) appendLocked(j Job, sync bool) error {
 	data, err := json.Marshal(j)
 	if err != nil {
 		return fmt.Errorf("jobqueue: job %s: %w", j.ID, err)
 	}
-	line, err := json.Marshal(walRecord{V: walVersion, Op: opJob, CRC: recordCRC(opJob, data), Data: data})
-	if err != nil {
-		return fmt.Errorf("jobqueue: job %s: %w", j.ID, err)
-	}
-	line = append(line, '\n')
-	err = faultinject.Retry(q.retry, func() error {
-		buf := line
-		if q.dirty {
-			buf = append([]byte{'\n'}, line...)
-		}
-		n, werr := q.f.Write(buf)
-		if werr != nil {
-			if n > 0 {
-				q.dirty = true
-			}
-			return werr
-		}
-		q.dirty = false
-		if !sync {
-			return nil
-		}
-		return q.f.Sync()
-	})
-	if err != nil {
+	rec := walRecord{V: walVersion, Op: opJob, CRC: durable.CRC(opJob, data), Data: data}
+	if err := q.wal.Append(context.TODO(), rec, sync); err != nil {
 		return fmt.Errorf("jobqueue: journal job %s: %w", j.ID, err)
 	}
 	return nil
 }
 
-// tailReader remembers the last byte it handed out, so the scan can
-// tell whether the file ends in a torn (newline-less) record.
-type tailReader struct {
-	r    io.Reader
-	last byte
-}
-
-func (t *tailReader) Read(p []byte) (int, error) {
-	n, err := t.r.Read(p)
-	if n > 0 {
-		t.last = p[n-1]
-	}
-	return n, err
-}
-
 // scanWAL reads every record from path, returning the surviving job
 // snapshots in record order (duplicates per ID included — the caller
 // applies last-wins), the number of dropped lines, and whether the file
-// ends mid-line (a crash tore the final append): the next append must
-// lead with a newline to isolate the torn bytes.
+// ends mid-line (a crash tore the final append).
 func scanWAL(fsys faultinject.FS, retry faultinject.RetryPolicy, path string) (jobs []Job, dropped int, tornTail bool, err error) {
 	err = faultinject.Retry(retry, func() error {
 		f, err := fsys.Open(path)
@@ -105,36 +54,24 @@ func scanWAL(fsys faultinject.FS, retry faultinject.RetryPolicy, path string) (j
 			return err
 		}
 		defer f.Close()
-		jobs, dropped = nil, 0
-		tr := &tailReader{r: f, last: '\n'}
-		defer func() { tornTail = tr.last != '\n' }()
-		sc := bufio.NewScanner(tr)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
+		jobs = nil
+		dropped, tornTail, err = durable.Scan(f, func(line []byte) (bool, error) {
 			var rec walRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				dropped++ // torn line: crash mid-append; later lines are whole
-				continue
+			if json.Unmarshal(line, &rec) != nil {
+				return false, nil // torn line: crash mid-append
 			}
 			if rec.V != walVersion {
-				return fmt.Errorf("jobqueue: %s: WAL version %d, want %d", path, rec.V, walVersion)
-			}
-			if rec.Op != opJob || rec.CRC != recordCRC(rec.Op, rec.Data) {
-				dropped++
-				continue
+				return false, fmt.Errorf("jobqueue: %s: WAL version %d, want %d", path, rec.V, walVersion)
 			}
 			var j Job
-			if err := json.Unmarshal(rec.Data, &j); err != nil || j.ID == "" {
-				dropped++
-				continue
+			if rec.Op != opJob || rec.CRC != durable.CRC(rec.Op, rec.Data) ||
+				json.Unmarshal(rec.Data, &j) != nil || j.ID == "" {
+				return false, nil
 			}
 			jobs = append(jobs, j)
-		}
-		return sc.Err()
+			return true, nil
+		})
+		return err
 	})
 	return jobs, dropped, tornTail, err
 }
@@ -146,19 +83,4 @@ func scanWAL(fsys faultinject.FS, retry faultinject.RetryPolicy, path string) (j
 func ScanWAL(path string) ([]Job, int, error) {
 	jobs, dropped, _, err := scanWAL(faultinject.OS, faultinject.RetryPolicy{}, path)
 	return jobs, dropped, err
-}
-
-// syncDir fsyncs a directory so a just-created WAL file survives a
-// crash; filesystems that cannot sync a directory handle are tolerated.
-func (q *Queue) syncDir(dir string) error {
-	d, err := q.fs.Open(dir)
-	if err != nil {
-		return fmt.Errorf("jobqueue: sync %s: %w", dir, err)
-	}
-	err = d.Sync()
-	d.Close()
-	if err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return fmt.Errorf("jobqueue: sync %s: %w", dir, err)
-	}
-	return nil
 }

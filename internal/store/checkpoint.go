@@ -1,19 +1,16 @@
 package store
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	iofs "io/fs"
-	"os"
 	"path/filepath"
 	"sync"
 
-	"perfclone/internal/faultinject"
+	"perfclone/internal/durable"
 )
 
 // checkpointVersion guards the JSONL cell format; bump it when a
@@ -22,9 +19,9 @@ const checkpointVersion = 2
 
 // cellRecord is one line of a checkpoint file: a finished grid cell and
 // its full result row, so a resumed run can reuse the row verbatim and
-// render byte-identical figures. CRC is an IEEE CRC-32 over the cell
-// name and the raw row bytes: a bit flip anywhere in a line — including
-// one that still parses as JSON — drops the record instead of silently
+// render byte-identical figures. CRC is durable.CRC over the cell name
+// and the raw row bytes: a bit flip anywhere in a line — including one
+// that still parses as JSON — drops the record instead of silently
 // resuming from a wrong row.
 type cellRecord struct {
 	V    int             `json:"v"`
@@ -33,29 +30,20 @@ type cellRecord struct {
 	Data json.RawMessage `json:"data"`
 }
 
-// cellCRC is the integrity checksum over one record's identity+payload.
-func cellCRC(cell string, data []byte) uint32 {
-	h := crc32.NewIEEE()
-	io.WriteString(h, cell)
-	h.Write(data)
-	return h.Sum32()
-}
-
 // Checkpoint is an append-only JSONL log of completed grid cells for one
-// experiment stage. Mark is safe for concurrent use by the worker pool;
-// each line is written in one critical section and flushed to the OS
-// before the cell counts as done, so a SIGINT between cells never loses
-// a recorded cell. A crash (or an injected torn write) can leave partial
-// lines anywhere in the file; load drops them individually and the
-// affected cells simply recompute.
+// experiment stage. MarkContext is safe for concurrent use by the worker
+// pool; each line is written in one critical section and flushed to the
+// OS before the cell counts as done, so a SIGINT between cells never
+// loses a recorded cell. A crash (or an injected torn write) can leave
+// partial lines anywhere in the file; load drops them individually and
+// the affected cells simply recompute.
 type Checkpoint struct {
 	stage string
 	st    *Store
 
-	mu    sync.Mutex
-	f     faultinject.File
-	done  map[string]json.RawMessage
-	dirty bool // last append may have left a partial line
+	mu   sync.Mutex
+	log  *durable.Log
+	done map[string]json.RawMessage
 }
 
 // OpenCheckpoint opens the per-stage cell log. With resume set, existing
@@ -67,8 +55,10 @@ type Checkpoint struct {
 func (s *Store) OpenCheckpoint(stage string, resume bool) (*Checkpoint, error) {
 	path := filepath.Join(s.dir, "checkpoints", sanitize(stage)+".jsonl")
 	cp := &Checkpoint{stage: stage, st: s, done: make(map[string]json.RawMessage)}
+	var torn bool
 	if resume {
-		torn, err := cp.load(path)
+		var err error
+		torn, err = cp.load(path)
 		if err != nil {
 			if s.strict {
 				return nil, err
@@ -76,41 +66,13 @@ func (s *Store) OpenCheckpoint(stage string, resume bool) (*Checkpoint, error) {
 			s.quarantine(path, err)
 			cp.done = make(map[string]json.RawMessage)
 		}
-		// A file that ends mid-line (a crash tore the last append) makes
-		// the first Mark lead with a newline, so the torn bytes stay on
-		// their own droppable line instead of swallowing the new record.
-		cp.dirty = torn
 	}
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	if !resume {
-		flags |= os.O_TRUNC
-	}
-	var f faultinject.File
-	err := faultinject.Retry(s.retry, func() error {
-		var err error
-		f, err = s.fs.OpenFile(path, flags, 0o644)
-		return err
-	})
+	log, err := durable.OpenLog(s.fs, s.retry, path, !resume, torn)
 	if err != nil {
 		return nil, fmt.Errorf("store: checkpoint %s: %w", stage, err)
 	}
-	cp.f = f
+	cp.log = log
 	return cp, nil
-}
-
-// tailReader remembers the last byte it handed out, so a scan can tell
-// whether the file ends in a torn (newline-less) record.
-type tailReader struct {
-	r    io.Reader
-	last byte
-}
-
-func (t *tailReader) Read(p []byte) (int, error) {
-	n, err := t.r.Read(p)
-	if n > 0 {
-		t.last = p[n-1]
-	}
-	return n, err
 }
 
 // load reads existing records into the done map, skipping lines that are
@@ -119,38 +81,28 @@ func (t *tailReader) Read(p []byte) (int, error) {
 func (cp *Checkpoint) load(path string) (torn bool, err error) {
 	var dropped int
 	err = cp.st.readArtifact(path, func(r io.Reader) error {
-		tr := &tailReader{r: r, last: '\n'}
-		sc := bufio.NewScanner(tr)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
 		done := make(map[string]json.RawMessage)
-		dropped = 0
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
+		var err error
+		dropped, torn, err = durable.Scan(r, func(line []byte) (bool, error) {
 			var rec cellRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
+			if json.Unmarshal(line, &rec) != nil {
 				// A torn line: a crash mid-append, or an append that a
-				// degraded writer could not complete. Later lines are
-				// whole records in their own right, so keep scanning.
-				dropped++
-				continue
+				// degraded writer could not complete.
+				return false, nil
 			}
 			if rec.V != checkpointVersion {
-				return fmt.Errorf("version %d, want %d", rec.V, checkpointVersion)
+				return false, fmt.Errorf("version %d, want %d", rec.V, checkpointVersion)
 			}
-			if rec.CRC != cellCRC(rec.Cell, rec.Data) {
-				dropped++
-				continue
+			if rec.CRC != durable.CRC(rec.Cell, rec.Data) {
+				return false, nil
 			}
 			done[rec.Cell] = rec.Data
-		}
-		if err := sc.Err(); err != nil {
+			return true, nil
+		})
+		if err != nil {
 			return err
 		}
 		cp.done = done
-		torn = tr.last != '\n'
 		return nil
 	})
 	if errors.Is(err, iofs.ErrNotExist) {
@@ -182,51 +134,27 @@ func (cp *Checkpoint) Len() int {
 	return len(cp.done)
 }
 
-// Mark records cell's result row. The line is written to the OS before
-// Mark returns, so a subsequent SIGINT cannot lose a completed cell.
-// Transient write failures retry; if an attempt tears mid-line, the next
-// write leads with a newline so the torn bytes isolate to their own
-// (droppable) line instead of corrupting the neighbor record.
-func (cp *Checkpoint) Mark(cell string, row any) error {
-	return cp.MarkContext(context.Background(), cell, row)
-}
-
-// MarkContext is Mark bounded by ctx: a context that dies before the
-// first write attempt stops the append entirely, and the backoff sleeps
-// between retries are cut short, so a cell whose deadline has expired
-// never lingers in the write path. A write attempt already in flight is
-// never interrupted mid-line by cancellation — only process death can
-// tear a line, and the JSONL loader drops torn tails — preserving the
-// invariant that a valid-CRC record always describes a complete cell.
+// MarkContext records cell's result row. The line is written to the OS
+// before MarkContext returns, so a subsequent SIGINT cannot lose a
+// completed cell; it is not fsynced, so checkpoints are SIGINT-safe, not
+// power-loss-safe (a lost cell only recomputes). Transient write
+// failures retry, and a torn attempt is isolated by durable.Log. A
+// context that dies before the first write attempt stops the append
+// entirely, and the backoff sleeps between retries are cut short, so a
+// cell whose deadline has expired never lingers in the write path. A
+// write attempt already in flight is never interrupted mid-line by
+// cancellation, preserving the invariant that a valid-CRC record always
+// describes a complete cell.
 func (cp *Checkpoint) MarkContext(ctx context.Context, cell string, row any) error {
 	data, err := json.Marshal(row)
 	if err != nil {
 		return fmt.Errorf("store: checkpoint %s cell %s: %w", cp.stage, cell, err)
 	}
-	line, err := json.Marshal(cellRecord{V: checkpointVersion, Cell: cell, CRC: cellCRC(cell, data), Data: data})
-	if err != nil {
-		return fmt.Errorf("store: checkpoint %s cell %s: %w", cp.stage, cell, err)
-	}
-	line = append(line, '\n')
+	rec := cellRecord{V: checkpointVersion, Cell: cell, CRC: durable.CRC(cell, data), Data: data}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	cp.done[cell] = data
-	err = faultinject.RetryContext(ctx, cp.st.retry, func() error {
-		buf := line
-		if cp.dirty {
-			buf = append([]byte{'\n'}, line...)
-		}
-		n, werr := cp.f.Write(buf)
-		if werr != nil {
-			if n > 0 {
-				cp.dirty = true
-			}
-			return werr
-		}
-		cp.dirty = false
-		return nil
-	})
-	if err != nil {
+	if err := cp.log.Append(ctx, rec, false); err != nil {
 		return fmt.Errorf("store: checkpoint %s cell %s: %w", cp.stage, cell, err)
 	}
 	return nil
@@ -236,7 +164,7 @@ func (cp *Checkpoint) MarkContext(ctx context.Context, cell string, row any) err
 func (cp *Checkpoint) Close() error {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	if err := cp.f.Close(); err != nil {
+	if err := cp.log.Close(); err != nil {
 		return fmt.Errorf("store: checkpoint %s: %w", cp.stage, err)
 	}
 	return nil

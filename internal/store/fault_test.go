@@ -6,6 +6,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"io"
 	iofs "io/fs"
 	"os"
@@ -238,10 +239,10 @@ func TestAtomicWriteFsyncsFileAndDir(t *testing.T) {
 	if err := st.SaveTrace("crc32", tr, 20_000); err != nil {
 		t.Fatal(err)
 	}
-	// One fsync on the temp file before the rename, one on the parent
-	// directory after it.
-	if n := syncs.Load(); n < 2 {
-		t.Fatalf("atomic commit issued %d fsyncs, want >= 2 (temp file + directory)", n)
+	// Exactly one fsync on the temp file before the rename and one on
+	// the parent directory after it.
+	if n := syncs.Load(); n != 2 {
+		t.Fatalf("atomic commit issued %d fsyncs, want exactly 2 (temp file + directory)", n)
 	}
 }
 
@@ -319,7 +320,7 @@ func TestCheckpointMultiTornLinesRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cell := range []string{"a", "b", "c"} {
-		if err := cp.Mark(cell, map[string]int{"n": len(cell)}); err != nil {
+		if err := cp.MarkContext(context.Background(), cell, map[string]int{"n": len(cell)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,10 +418,10 @@ func TestCheckpointTornWriteIsolatedByNewline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Mark("a", map[string]int{"n": 1}); err != nil {
+	if err := cp.MarkContext(context.Background(), "a", map[string]int{"n": 1}); err != nil {
 		t.Fatalf("Mark must absorb a transient torn write via retry: %v", err)
 	}
-	if err := cp.Mark("b", map[string]int{"n": 2}); err != nil {
+	if err := cp.MarkContext(context.Background(), "b", map[string]int{"n": 2}); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()

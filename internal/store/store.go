@@ -7,11 +7,11 @@
 // program hash is a SHA-256 over the program's canonical assembly dump,
 // so any change to a workload generator or to the clone synthesizer
 // produces a different key and stale artifacts are simply never hit —
-// there is no invalidation protocol. Writes go through a temp file that
-// is fsynced, atomically renamed into place, and sealed with a parent-
-// directory fsync, so neither a crash nor a SIGINT mid-write can commit
-// a torn artifact; the dyntrace checksum and the profile loader's
-// structural check are the second line of defense.
+// there is no invalidation protocol. Writes commit through
+// durable.AtomicWrite (temp file, fsync, rename, directory fsync), so
+// neither a crash nor a SIGINT mid-write can commit a torn artifact; the
+// dyntrace checksum and the profile loader's structural check are the
+// second line of defense. The checkpoint files are durable.Log files.
 //
 // Failure model. All I/O goes through a faultinject.FS seam and obeys
 // the package's error taxonomy: transient errors (EIO, ENOSPC, …) are
@@ -43,9 +43,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
+	"perfclone/internal/durable"
 	"perfclone/internal/dyntrace"
 	"perfclone/internal/faultinject"
 	"perfclone/internal/profile"
@@ -326,10 +326,9 @@ func (s *Store) saveArtifact(path string, write func(io.Writer) error) error {
 // whole lock-wait window.
 var errLockHeld = errors.New("artifact lock held by another writer")
 
-// atomicWrite streams write() into a temp file, fsyncs it, renames it
-// into place, and fsyncs the parent directory, all under the artifact's
-// claim-file lock so two processes sharing the store never interleave.
-// Transient faults retry the whole attempt with a fresh temp file.
+// atomicWrite commits write()'s output with durable.AtomicWrite under
+// the artifact's claim-file lock, so two processes sharing the store
+// never interleave.
 func (s *Store) atomicWrite(path string, write func(w io.Writer) error) error {
 	release, err := s.lockPath(path)
 	if err != nil {
@@ -344,50 +343,8 @@ func (s *Store) atomicWrite(path string, write func(w io.Writer) error) error {
 		return fmt.Errorf("store: %s: %w", path, err)
 	}
 	defer release()
-	return faultinject.Retry(s.retry, func() error { return s.writeOnce(path, write) })
-}
-
-// writeOnce is one full commit attempt: temp file, payload, fsync,
-// rename, directory fsync.
-func (s *Store) writeOnce(path string, write func(w io.Writer) error) error {
-	tmp, err := s.fs.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
+	if err := durable.AtomicWrite(s.fs, s.retry, path, write); err != nil {
 		return fmt.Errorf("store: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() { _ = s.fs.Remove(tmpName) }() // no-op once renamed
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: write %s: %w", path, err)
-	}
-	// fsync before rename: the rename must never publish an artifact
-	// whose bytes are not yet durable, or a crash right after the rename
-	// could leave a committed-but-torn file.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: sync %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: write %s: %w", path, err)
-	}
-	if err := s.fs.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	// fsync the directory so the rename itself survives a crash.
-	return s.syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory; filesystems that cannot sync a directory
-// handle (EINVAL/ENOTSUP) are tolerated.
-func (s *Store) syncDir(dir string) error {
-	d, err := s.fs.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: sync %s: %w", dir, err)
-	}
-	err = d.Sync()
-	d.Close()
-	if err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return fmt.Errorf("store: sync %s: %w", dir, err)
 	}
 	return nil
 }

@@ -157,10 +157,10 @@ func TestCheckpointMarkDoneResume(t *testing.T) {
 	if _, ok := cp.Done("crc32"); ok {
 		t.Fatal("fresh checkpoint claims a done cell")
 	}
-	if err := cp.Mark("crc32", row{"crc32", 1.25}); err != nil {
+	if err := cp.MarkContext(context.Background(), "crc32", row{"crc32", 1.25}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Mark("fft", row{"fft", 0.75}); err != nil {
+	if err := cp.MarkContext(context.Background(), "fft", row{"fft", 0.75}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Close(); err != nil {
@@ -204,7 +204,7 @@ func TestCheckpointTornTailDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Mark("a", 1); err != nil {
+	if err := cp.MarkContext(context.Background(), "a", 1); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
@@ -243,7 +243,7 @@ func TestCheckpointResumeAfterTornTailKeepsNextCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Mark("a", 1); err != nil {
+	if err := cp.MarkContext(context.Background(), "a", 1); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
@@ -261,7 +261,7 @@ func TestCheckpointResumeAfterTornTailKeepsNextCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp2.Mark("c", 3); err != nil {
+	if err := cp2.MarkContext(context.Background(), "c", 3); err != nil {
 		t.Fatal(err)
 	}
 	cp2.Close()
